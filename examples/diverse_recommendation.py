@@ -3,7 +3,7 @@
 Abbar et al. (WWW 2013) recommend *diverse* related articles by first
 reporting all r-near neighbors of a query article and then selecting
 the k most mutually distant among them.  rNNR is the expensive first
-stage; this example builds it on the hybrid searcher and implements
+stage; this example builds it on a hybrid index and implements
 the greedy max-min diversification on top.
 
 Run:  python examples/diverse_recommendation.py
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import CostModel, HybridLSH
+from repro import Index, IndexSpec, QuerySpec
 from repro.datasets import gaussian_mixture
 from repro.distances import get_metric
 
@@ -50,19 +50,14 @@ def main() -> None:
     # Within-topic article distances concentrate near sqrt(2 * 32) ~ 8,
     # so r = 9 reports the query's whole topical neighborhood.
     radius, k = 9.0, 5
-    searcher = HybridLSH(
+    index = Index.build(
         points,
-        metric="l2",
-        radius=radius,
-        num_tables=50,
-        cost_model=CostModel.from_ratio(6.0),
-        seed=2,
+        IndexSpec(metric="l2", radius=radius, num_tables=50, cost_ratio=6.0, seed=2),
     )
 
-    query = points[123]
-    result = searcher.query(query)
+    result = index.query(QuerySpec(points[123]))
     print(f"query article 123: {result.output_size} related articles within r={radius} "
-          f"(strategy: {result.stats.strategy.value})")
+          f"(strategy: {result.strategy})")
 
     related = points[result.ids]
     chosen = greedy_diverse_subset(related, k)

@@ -1,19 +1,18 @@
 """The ``Index`` facade: one spec-driven front door for every workload.
 
-The package grew three entry points — :class:`~repro.core.hybrid.HybridLSH`
-(single index), :class:`~repro.service.sharded.ShardedHybridIndex`
-(partitioned), and :class:`~repro.service.service.QueryService`
-(cache + counters) — each with its own constructor vocabulary.
-:class:`Index` replaces them with one declarative surface:
+:class:`Index` is one declarative surface over the three engines —
+:class:`~repro.service.batch.BatchQueryEngine` (a single index, served
+as one shard), :class:`~repro.service.sharded.ShardedHybridIndex`
+(thread fan-out) and :class:`~repro.service.workers.WorkerPool`
+(worker processes).  The engines share one shard surface, so the
+facade calls each of them through the same code path:
 
 * :meth:`Index.build` consumes an :class:`~repro.api.spec.IndexSpec`
-  and assembles the right engine underneath (batched single index or
-  sharded fan-out), the cost model (fixed ratio or timing-calibrated),
-  the ``candSize`` estimator (resolved from the estimator registry),
-  and the optional result cache;
+  and assembles the right engine underneath, the cost model (fixed
+  ratio or timing-calibrated), the ``candSize`` estimator (resolved
+  from the estimator registry), and the optional result cache;
 * :meth:`Index.query` answers a :class:`~repro.api.spec.QuerySpec` —
-  radius, exact top-k, single or batch — through one method, with
-  answers bit-identical to the legacy paths it delegates to;
+  radius, exact top-k, single or batch — through one method;
 * :meth:`Index.insert` routes new points in and invalidates only the
   affected shards' cache entries (the cache stores per-shard partial
   answers under shard-tagged keys);
@@ -30,7 +29,6 @@ from typing import Any, cast
 
 import numpy as np
 
-from repro.api.deprecations import warn_legacy_shape
 from repro.api.outcome import BatchOutcome, QueryOutcome
 from repro.api.spec import IndexSpec, QuerySpec
 from repro.core.adaptive import AdaptivePolicy
@@ -42,16 +40,14 @@ from repro.core.calibration import (
 from repro.core.cost_model import CostModel
 from repro.core.hybrid import HybridLSH, HybridSearcher
 from repro.core.presets import _PSTABLE_PRESETS, paper_parameters
-from repro.core.linear_scan import exact_topk_results
 from repro.core.results import QueryResult
 from repro.distances import get_metric
-from repro.distances.matrix import pairwise_distances
 from repro.exceptions import ConfigurationError
 from repro.faults import FaultPlan, FaultTolerancePolicy
 from repro.hashing.base import family_for_metric, get_family
 from repro.hashing.params import concatenation_width
 from repro.index.lsh_index import LSHIndex
-from repro.observability import StageTrace, stage_timer
+from repro.observability import StageTrace
 from repro.service.batch import BatchQueryEngine
 from repro.service.cache import QueryResultCache
 from repro.service.sharded import ShardedHybridIndex
@@ -60,171 +56,6 @@ from repro.sketches.registry import get_estimator
 from repro.utils.validation import check_matrix, check_positive_int
 
 __all__ = ["Index", "ServiceStats"]
-
-
-class _SingleBackend:
-    """Adapter presenting a :class:`BatchQueryEngine` as a 1-shard backend."""
-
-    kind = "single"
-
-    def __init__(self, engine: BatchQueryEngine) -> None:
-        self.engine = engine
-
-    @property
-    def num_partitions(self) -> int:
-        return 1
-
-    @property
-    def n(self) -> int:
-        return self.engine.n
-
-    @property
-    def dim(self) -> int:
-        return self.engine.dim
-
-    def resolve_radius(self, radius: float | None) -> float:
-        return self.engine._resolve_radius(radius)
-
-    def query_batch(
-        self,
-        queries: np.ndarray,
-        radius: float,
-        trace: StageTrace | None = None,
-        allow_partial: bool = False,
-        adaptive: AdaptivePolicy | None = None,
-    ) -> list[QueryResult]:
-        # A single in-process engine has no independently failing shards
-        # — ``allow_partial`` is accepted for surface parity and ignored.
-        return self.engine.query_batch(queries, radius, trace=trace, adaptive=adaptive)
-
-    def shard_query_batch(
-        self,
-        shard: int,
-        queries: np.ndarray,
-        radius: float,
-        adaptive: AdaptivePolicy | None = None,
-    ) -> list[QueryResult]:
-        return self.engine.query_batch(queries, radius, adaptive=adaptive)
-
-    def merge(self, parts: list[QueryResult], radius: float) -> QueryResult:
-        return parts[0]
-
-    def map_shards(
-        self, work: Callable[[int], list[QueryResult]]
-    ) -> list[list[QueryResult]]:
-        return [work(0)]
-
-    def topk_batch(
-        self,
-        queries: np.ndarray,
-        k: int,
-        trace: StageTrace | None = None,
-        allow_partial: bool = False,
-    ) -> list[QueryResult]:
-        index = self.engine.index
-        if k > index.n:
-            raise ConfigurationError(f"k ({k}) must not exceed the index size ({index.n})")
-        with stage_timer(trace, "linear"):
-            block = pairwise_distances(queries, index.points, index.family.metric)
-        with stage_timer(trace, "merge"):
-            return exact_topk_results(
-                np.arange(index.n, dtype=np.int64), [block], k, index.n
-            )
-
-    def insert(self, new_points: np.ndarray) -> tuple[np.ndarray, set[int]]:
-        ids = self.engine.insert(new_points)
-        return ids, ({0} if ids.size else set())
-
-    @property
-    def recalibrations(self) -> int:
-        return int(self.engine.recalibrations)
-
-    def close(self) -> None:
-        pass
-
-
-class _ShardedBackend:
-    """Adapter presenting a K-shard engine as a backend.
-
-    Works for both partitioned engines — the thread fan-out
-    (:class:`ShardedHybridIndex`) and the process pool
-    (:class:`~repro.service.workers.WorkerPool`) — because they share
-    one query/insert surface.
-    """
-
-    def __init__(self, sharded: Any) -> None:
-        self.engine = sharded
-        self.kind = getattr(sharded, "kind", "sharded")
-
-    @property
-    def num_partitions(self) -> int:
-        return self.engine.num_shards
-
-    @property
-    def n(self) -> int:
-        return self.engine.n
-
-    @property
-    def dim(self) -> int:
-        return self.engine.dim
-
-    def resolve_radius(self, radius: float | None) -> float:
-        return self.engine._resolve_radius(radius)
-
-    def query_batch(
-        self,
-        queries: np.ndarray,
-        radius: float,
-        trace: StageTrace | None = None,
-        allow_partial: bool = False,
-        adaptive: AdaptivePolicy | None = None,
-    ) -> list[QueryResult]:
-        return self.engine.query_batch(
-            queries, radius, trace=trace, allow_partial=allow_partial,
-            adaptive=adaptive,
-        )
-
-    def shard_query_batch(
-        self,
-        shard: int,
-        queries: np.ndarray,
-        radius: float,
-        adaptive: AdaptivePolicy | None = None,
-    ) -> list[QueryResult]:
-        return self.engine.shard_query_batch(shard, queries, radius, adaptive=adaptive)
-
-    def merge(self, parts: list[QueryResult], radius: float) -> QueryResult:
-        return self.engine.merge_radius(parts, radius)
-
-    def map_shards(
-        self, work: Callable[[int], list[QueryResult]]
-    ) -> list[list[QueryResult]]:
-        return self.engine.map_shards(work)
-
-    def topk_batch(
-        self,
-        queries: np.ndarray,
-        k: int,
-        trace: StageTrace | None = None,
-        allow_partial: bool = False,
-    ) -> list[QueryResult]:
-        return self.engine.query_topk_batch(
-            queries, k, trace=trace, allow_partial=allow_partial
-        )
-
-    def insert(self, new_points: np.ndarray) -> tuple[np.ndarray, set[int]]:
-        affected = set(int(s) for s in self.engine.peek_assignment(new_points.shape[0]))
-        ids = self.engine.insert(new_points)
-        return ids, (affected if ids.size else set())
-
-    @property
-    def recalibrations(self) -> int:
-        # Worker pools recalibrate inside the worker processes; the
-        # parent-side engine then has no counter of its own.
-        return int(getattr(self.engine, "recalibrations", 0))
-
-    def close(self) -> None:
-        self.engine.close()
 
 
 def _resolve_estimator(spec: IndexSpec) -> Any:
@@ -401,24 +232,24 @@ class Index:
 
     def __init__(
         self,
-        backend: Any,
+        engine: Any,
         spec: IndexSpec | None = None,
         cache: QueryResultCache | None = None,
     ) -> None:
-        self._backend = backend
+        self._engine = engine
         self.spec = spec
         self.cache = cache
-        self.stats = ServiceStats(pool_workers=_fanout_width_of(backend))
+        self.stats = ServiceStats(pool_workers=_fanout_width_of(engine))
         self._tracing = False
         # Lazily measured distance profile for radius-from-k estimation
-        # (None when the backend has no in-process points to sample).
+        # (None when the engine has no in-process points to sample).
         self._profile: DistanceProfile | None = None
         self._profile_ready = False
         # Pool-lifetime counter values captured at the last reset_stats,
         # so snapshots after a reset report deltas, not lifetime totals.
         self._transport_baseline: dict[str, Any] | None = None
         self._recalibration_baseline = 0
-        _register_gauge_hooks(self.stats, backend)
+        _register_gauge_hooks(self.stats, engine)
 
     # ------------------------------------------------------------------
     # Construction
@@ -461,14 +292,14 @@ class Index:
         points = check_matrix(points, name="points")
         cost_model = _resolve_cost_model(spec, points)
         estimator = _resolve_estimator(spec)
-        backend: _ShardedBackend | _SingleBackend
+        engine: BatchQueryEngine | ShardedHybridIndex
         if spec.num_shards > 1:
             factory = (
                 _custom_shard_factory(spec, cost_model, estimator)
                 if _spec_is_shard_customised(spec)
                 else None
             )
-            sharded = ShardedHybridIndex(
+            engine = ShardedHybridIndex(
                 points,
                 metric=spec.metric,
                 radius=spec.radius,
@@ -483,16 +314,13 @@ class Index:
                 layout=spec.layout,
                 index_factory=factory,
             )
-            backend = _ShardedBackend(sharded)
         else:
             index = _build_single_index(
                 spec, points, seed=spec.seed, freeze=spec.layout == "frozen"
             )
             searcher = HybridSearcher(index, cost_model, estimator=estimator)
-            backend = _SingleBackend(
-                BatchQueryEngine(searcher, radius=spec.radius, dedup=spec.dedup)
-            )
-        built = cls(backend, spec=spec, cache=_cache_from_spec(spec))
+            engine = BatchQueryEngine(searcher, radius=spec.radius, dedup=spec.dedup)
+        built = cls(engine, spec=spec, cache=_cache_from_spec(spec))
         if spec.execution == "processes":
             return _as_process_pool(
                 built,
@@ -512,29 +340,16 @@ class Index:
         """Wrap an already-built engine in the facade.
 
         Accepts a :class:`~repro.service.batch.BatchQueryEngine`, a
-        :class:`~repro.service.sharded.ShardedHybridIndex`, a
-        :class:`~repro.core.hybrid.HybridLSH`, or a bare
-        :class:`~repro.core.hybrid.HybridSearcher` — this is the
-        rebase hook for the legacy front doors.
+        :class:`~repro.service.sharded.ShardedHybridIndex` or a
+        :class:`~repro.service.workers.WorkerPool`.
         """
         from repro.service.workers import WorkerPool
 
-        backend: _ShardedBackend | _SingleBackend
-        if isinstance(engine, ShardedHybridIndex | WorkerPool):
-            backend = _ShardedBackend(engine)
-        elif isinstance(engine, BatchQueryEngine):
-            backend = _SingleBackend(engine)
-        elif isinstance(engine, HybridLSH):
-            backend = _SingleBackend(
-                BatchQueryEngine(engine.searcher, radius=engine.radius)
-            )
-        elif isinstance(engine, HybridSearcher):
-            backend = _SingleBackend(BatchQueryEngine(engine))
-        else:
+        if not isinstance(engine, BatchQueryEngine | ShardedHybridIndex | WorkerPool):
             raise ConfigurationError(
-                f"cannot wrap {type(engine).__name__} as an Index backend"
+                f"cannot wrap {type(engine).__name__} as an Index engine"
             )
-        return cls(backend, spec=spec, cache=cache)
+        return cls(engine, spec=spec, cache=cache)
 
     @classmethod
     def open(
@@ -580,42 +395,38 @@ class Index:
     # ------------------------------------------------------------------
     @property
     def engine(self) -> Any:
-        """The underlying engine (batched single index or sharded fan-out)."""
-        return self._backend.engine
+        """The underlying engine (single index, thread fan-out or worker pool)."""
+        return self._engine
 
     @property
     def num_shards(self) -> int:
         """Number of data partitions (1 for a single index)."""
-        return self._backend.num_partitions
+        return int(self._engine.num_shards)
 
     @property
     def n(self) -> int:
         """Number of served points."""
-        return self._backend.n
+        return int(self._engine.n)
 
     @property
     def dim(self) -> int:
         """Expected query dimensionality."""
-        return self._backend.dim
+        return int(self._engine.dim)
 
     @property
     def cost_model(self) -> CostModel:
         """The cost model driving the per-query dispatch."""
-        engine = self._backend.engine
-        searcher = getattr(engine, "searcher", None)
-        if searcher is not None:
-            return searcher.cost_model
-        return engine.cost_model  # sharded fan-out / worker pool
+        return cast("CostModel", self._engine.cost_model)
 
     @property
     def execution(self) -> str:
         """How shard work fans out: ``"threads"`` or ``"processes"``."""
-        return "processes" if self._backend.kind == "processes" else "threads"
+        return "processes" if self._engine.kind == "processes" else "threads"
 
     def reset_stats(self) -> None:
         """Zero the counters (cache contents are kept).
 
-        Pool-lifetime counters owned by a process-pool backend — pipe
+        Pool-lifetime counters owned by a process-pool engine — pipe
         bytes, respawns, the failure counters — cannot be zeroed in
         place (the pool keeps accumulating), so their current values are
         captured as a baseline that :meth:`stats_snapshot` subtracts;
@@ -623,7 +434,7 @@ class Index:
         pool's ``reset`` op.  A snapshot right after a reset therefore
         reads all-zero everywhere, including ``workers.*``.
         """
-        pool = self._backend.engine if self._backend.kind == "processes" else None
+        pool = self._pool()
         if pool is not None:
             if hasattr(pool, "reset_worker_stats"):
                 pool.reset_worker_stats()
@@ -637,7 +448,7 @@ class Index:
                 "replica_failovers": int(failure.get("replica_failovers", 0)),
                 "respawns_by_cause": dict(failure["respawns_by_cause"]),
             }
-        self._recalibration_baseline = self._backend_recalibrations()
+        self._recalibration_baseline = self._recalibrations()
         self.stats.reset()
 
     def enable_tracing(self, enabled: bool = True) -> None:
@@ -659,12 +470,12 @@ class Index:
     def stats_snapshot(self) -> dict[str, object]:
         """Enriched stats document: facade counters + live worker stats.
 
-        For a process-pool backend, each worker's own ``ServiceStats``
+        For a process-pool engine, each worker's own ``ServiceStats``
         (latency histogram, bytes shipped over its pipe, its gauges) is
         fetched via the pool's ``stats`` op and merged — exactly — into
         a ``workers`` sub-document alongside the per-worker breakdown.
         """
-        pool = self._backend.engine if self._backend.kind == "processes" else None
+        pool = self._pool()
         if pool is not None:
             # Pipes, respawns and the failure counters are parent-side
             # pool-lifetime counters; sync them into the facade stats at
@@ -701,7 +512,7 @@ class Index:
                 respawns_by_cause={k: v for k, v in causes.items() if v},
             )
         self.stats.set_recalibrations(
-            max(0, self._backend_recalibrations() - self._recalibration_baseline)
+            max(0, self._recalibrations() - self._recalibration_baseline)
         )
         doc = self.stats.as_dict()
         if pool is not None and hasattr(pool, "worker_stats"):
@@ -718,8 +529,8 @@ class Index:
         return doc
 
     def close(self) -> None:
-        """Release backend resources (sharded thread pool); idempotent."""
-        self._backend.close()
+        """Release engine resources (threads, worker processes); idempotent."""
+        self._engine.close()
 
     # ------------------------------------------------------------------
     # Queries
@@ -733,8 +544,10 @@ class Index:
         return the exact k nearest neighbors.  A single-vector request
         returns one :class:`~repro.api.outcome.QueryOutcome`, a matrix a
         :class:`~repro.api.outcome.BatchOutcome` (answered through the
-        batched engine) — the typed envelope on every execution path,
-        with payload arrays bit-identical to the legacy shapes.
+        batched engine) — the typed envelope on every execution path.
+        ``allow_partial=True`` lets a process-pool engine answer from the
+        reachable shards when a worker is unrecoverable, tagging results
+        ``degraded=True``; elsewhere it is a no-op.
 
         The request's ``adaptive`` / ``target_candidates`` /
         ``quality_floor`` fields override the index's
@@ -765,30 +578,6 @@ class Index:
         outcomes = tuple(QueryOutcome.from_result(r) for r in results)
         return outcomes[0] if request.single else BatchOutcome(outcomes)
 
-    def query_batch(
-        self,
-        queries: np.ndarray,
-        radius: float | None = None,
-        allow_partial: bool = False,
-    ) -> list[QueryResult]:
-        """Answer a ``(q, d)`` radius-query matrix (one result per row).
-
-        This is the legacy ``list[QueryResult]`` shape — deprecated in
-        favour of ``query(QuerySpec(queries))`` returning a
-        :class:`~repro.api.outcome.BatchOutcome` — and warns once per
-        process; answers are unchanged.  ``allow_partial=True`` lets a
-        process-pool backend answer from the reachable shards when a
-        worker is unrecoverable, tagging results ``degraded=True``;
-        elsewhere it is a no-op.
-        """
-        warn_legacy_shape("Index.query_batch()", "Index.query(QuerySpec(queries))")
-        return self._radius_batch(
-            np.asarray(queries),
-            radius,
-            allow_partial=allow_partial,
-            policy=self._policy_for(None),
-        )
-
     def insert(self, new_points: np.ndarray) -> np.ndarray:
         """Insert points; only the receiving shards' cache entries drop.
 
@@ -797,16 +586,21 @@ class Index:
         the per-shard refinement of the old clear-everything behavior.
         """
         new_points = check_matrix(new_points, dim=self.dim, name="new_points")
-        ids, affected_shards = self._backend.insert(new_points)
+        affected = {int(s) for s in self._engine.peek_assignment(new_points.shape[0])}
+        ids = self._engine.insert(new_points)
         if self.cache is not None and ids.size:
-            for shard in affected_shards:
+            for shard in affected:
                 self.cache.invalidate_shard(shard)
         return ids
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _policy_for(self, request: QuerySpec | None) -> AdaptivePolicy | None:
+    def _pool(self) -> Any:
+        """The process-pool engine, or None for in-process engines."""
+        return self._engine if self._engine.kind == "processes" else None
+
+    def _policy_for(self, request: QuerySpec) -> AdaptivePolicy | None:
         """The adaptive policy one request executes under (None = fixed).
 
         The index policy (``spec.adaptive``) is the base; the request's
@@ -816,8 +610,6 @@ class Index:
         index-wide policy with ``adaptive=False``.
         """
         base = self.spec.adaptive if self.spec is not None else None
-        if request is None:
-            return base if base is not None and base.enabled else None
         if base is None:
             if (
                 request.adaptive is None
@@ -831,13 +623,15 @@ class Index:
         )
         return policy if policy.enabled else None
 
-    def _backend_recalibrations(self) -> int:
-        """Live recalibration total summed over the backend's engines."""
-        return int(getattr(self._backend, "recalibrations", 0))
+    def _recalibrations(self) -> int:
+        """Live recalibration total summed over the engine's shards."""
+        # Worker pools recalibrate inside the worker processes; the
+        # parent-side pool then has no counter of its own.
+        return int(getattr(self._engine, "recalibrations", 0))
 
     def _profile_points(self) -> np.ndarray | None:
         """A point sample reachable in-process (None for worker pools)."""
-        engine = self._backend.engine
+        engine = self._engine
         index = getattr(engine, "index", None)
         if index is not None:  # BatchQueryEngine
             return cast("np.ndarray", index.points)
@@ -852,7 +646,7 @@ class Index:
 
         Measured once, on first adaptive top-k use, from in-process
         points with the spec's seed (deterministic); ``None`` when the
-        backend ships its points to worker processes — those requests
+        engine ships its points to worker processes — those requests
         keep the exact top-k path.
         """
         if self._profile_ready:
@@ -884,7 +678,7 @@ class Index:
         if policy is not None and policy.enabled:
             results = self._topk_adaptive(queries, k, policy, allow_partial, trace)
         if results is None:
-            results = self._backend.topk_batch(
+            results = self._engine.query_topk_batch(
                 queries, k, trace=trace, allow_partial=allow_partial
             )
         self._account(results, queries.shape[0], started, trace)
@@ -933,7 +727,7 @@ class Index:
         for _ in range(policy.max_escalations + 1):
             if not pending:
                 break
-            rows = self._backend.query_batch(
+            rows = self._engine.query_batch(
                 queries[pending], float(radius), trace=trace, adaptive=adaptive
             )
             still: list[int] = []
@@ -957,7 +751,7 @@ class Index:
             pending = still
             radius *= policy.radius_growth
         if pending:
-            fallback = self._backend.topk_batch(
+            fallback = self._engine.query_topk_batch(
                 queries[pending], k, trace=trace, allow_partial=allow_partial
             )
             for pos, row in zip(pending, fallback):
@@ -974,7 +768,7 @@ class Index:
         started = time.perf_counter()
         trace = StageTrace() if self._tracing else None
         queries = check_matrix(queries, dim=self.dim, name="queries")
-        radius = self._backend.resolve_radius(radius)
+        radius = self._engine._resolve_radius(radius)
         adaptive = policy if policy is not None and policy.enabled else None
         bypass_cache = allow_partial or (
             adaptive is not None and (adaptive.bounds_probes or adaptive.recalibrate)
@@ -987,7 +781,7 @@ class Index:
             # that trims probes (or mutates the cost model) bypasses it
             # too — trimmed partials must never serve fixed-budget
             # reads, and vice versa.
-            results = self._backend.query_batch(
+            results = self._engine.query_batch(
                 queries,
                 radius,
                 trace=trace,
@@ -1013,11 +807,12 @@ class Index:
         partial is cached under its own shard tag, so a query after an
         insert recomputes only the shards the insert touched.  In-batch
         duplicates of a missing query are answered once and shared
-        (popular-item storms), exactly like the legacy service.
+        (popular-item storms).
         """
         cache = self.cache
         assert cache is not None  # only called on the cache-enabled path
-        num_shards = self._backend.num_partitions
+        engine = self._engine
+        num_shards = self.num_shards
         num_queries = queries.shape[0]
         results: list[QueryResult | None] = [None] * num_queries
         base_keys = [cache.make_key(q, radius) for q in queries]
@@ -1039,7 +834,7 @@ class Index:
             ]
             missing = [s for s, part in enumerate(parts) if part is None]
             if not missing:
-                results[i] = self._backend.merge(parts, radius)
+                results[i] = engine.merge_radius(parts, radius)
                 hits += 1
             else:
                 miss_rep[base] = i
@@ -1053,16 +848,16 @@ class Index:
                 rows = shard_miss_rows[shard]
                 if not rows:
                     return []
-                return self._backend.shard_query_batch(shard, queries[rows], radius)
+                return engine.shard_query_batch(shard, queries[rows], radius)
 
-            fresh = self._backend.map_shards(work)
+            fresh = engine.map_shards(work)
             for s in range(num_shards):
                 for row, part in zip(shard_miss_rows[s], fresh[s]):
                     parts_by_row[row][s] = part
                     key = base_keys[row] if s == 0 else cache.retag_key(base_keys[row], s)
                     cache.put(key, part)
             for row, parts in parts_by_row.items():
-                results[row] = self._backend.merge(parts, radius)
+                results[row] = engine.merge_radius(parts, radius)
         for i, rep in duplicates:
             results[i] = results[rep]
 
@@ -1094,7 +889,7 @@ class Index:
 
     def __repr__(self) -> str:
         cache = "off" if self.cache is None else f"{len(self.cache)}/{self.cache.maxsize}"
-        spec = "legacy-wrapped" if self.spec is None else self.spec.metric
+        spec = "none" if self.spec is None else self.spec.metric
         return (
             f"Index(n={self.n}, dim={self.dim}, shards={self.num_shards}, "
             f"spec={spec}, cache={cache})"
@@ -1130,34 +925,28 @@ def _cache_from_spec(spec: IndexSpec) -> QueryResultCache | None:
     return QueryResultCache(maxsize=spec.cache_size, quantum=spec.cache_quantum)
 
 
-def _frozen_indexes_of(backend: Any) -> list[Any]:
-    """Frozen indexes reachable in-process from ``backend`` (may be [])."""
-    engine = getattr(backend, "engine", None)
-    if engine is None:
-        return []
-    if isinstance(engine, BatchQueryEngine):
-        candidates = [engine.index]
-    else:
-        candidates = [eng.index for eng in getattr(engine, "_engines", [])]
+def _frozen_indexes_of(engine: Any) -> list[Any]:
+    """Frozen indexes reachable in-process from ``engine`` (may be [])."""
+    shard_engines = getattr(engine, "_engines", None) or [engine]
+    candidates = [getattr(eng, "index", None) for eng in shard_engines]
     # Duck-typed so both FrozenLSHIndex and the frozen covering layout
     # qualify; a worker pool has no in-process indexes (its workers ship
     # these gauges back through the ``stats`` op instead).
     return [ix for ix in candidates if hasattr(ix, "overflow_count") and hasattr(ix, "refreeze_count")]
 
 
-def _register_gauge_hooks(stats: ServiceStats, backend: Any) -> None:
-    """Wire live backend gauges into the stats object.
+def _register_gauge_hooks(stats: ServiceStats, engine: Any) -> None:
+    """Wire live engine gauges into the stats object.
 
     Frozen layouts expose their overflow side-table size and background
     re-freeze counters; hooks read the *current* values at snapshot
     time, so the gauges track inserts and re-freezes without the stats
     layer polling anything.
     """
-    engine = getattr(backend, "engine", None)
     if hasattr(engine, "open_breaker_count"):
         counter = engine.open_breaker_count
         stats.gauge_hooks["breaker_open_workers"] = lambda: float(counter())
-    indexes = _frozen_indexes_of(backend)
+    indexes = _frozen_indexes_of(engine)
     if not indexes:
         return
     stats.gauge_hooks["overflow_points"] = lambda: float(
@@ -1174,9 +963,8 @@ def _register_gauge_hooks(stats: ServiceStats, backend: Any) -> None:
     )
 
 
-def _fanout_width_of(backend: Any) -> int:
+def _fanout_width_of(engine: Any) -> int:
     """The chosen shard fan-out width (0 for an unpartitioned engine)."""
-    engine = getattr(backend, "engine", None)
     width = getattr(engine, "num_workers", None)  # process pool
     if width is None:
         width = getattr(engine, "max_workers", None)  # thread fan-out
@@ -1219,6 +1007,4 @@ def _as_process_pool(
         fault_plan=fault_plan,
         replicas=index.spec.replicas,
     )
-    return Index(
-        _ShardedBackend(pool), spec=index.spec, cache=_cache_from_spec(index.spec)
-    )
+    return Index(pool, spec=index.spec, cache=_cache_from_spec(index.spec))

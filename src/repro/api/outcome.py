@@ -16,12 +16,9 @@ wraps a batch as an immutable :class:`~collections.abc.Sequence` so the
 idiomatic consumptions (``len``, indexing, iteration, ``zip``) all keep
 working.
 
-The payload is **bit-identical** to the legacy shapes: ``ids`` and
+The payload is **bit-identical** to the engine's answer: ``ids`` and
 ``distances`` are the very arrays the engine produced, never copied or
-re-ordered.  The legacy shapes remain constructible through
-:meth:`QueryOutcome.to_result` / :meth:`BatchOutcome.to_results`, which
-warn once per process (:mod:`repro.api.deprecations`) and then behave
-exactly as before.
+re-ordered.
 """
 
 from __future__ import annotations
@@ -33,7 +30,6 @@ from typing import overload
 import numpy as np
 import numpy.typing as npt
 
-from repro.api.deprecations import warn_legacy_shape
 from repro.core.results import QueryResult, QueryStats
 from repro.observability import StageTrace
 
@@ -48,12 +44,11 @@ class QueryOutcome:
     ----------
     ids:
         Global point ids of the reported neighbors (the engine's own
-        array, bit-identical to the legacy result).
+        array, never copied).
     distances:
         Distances aligned with ``ids``.
     radius:
-        The radius answered (for top-k outcomes: the k-th distance, the
-        legacy top-k convention).
+        The radius answered (for top-k outcomes: the k-th distance).
     strategy:
         Which strategy produced the answer (``"lsh"`` / ``"linear"`` /
         ``"hybrid"``), as a plain string.
@@ -155,22 +150,6 @@ class QueryOutcome:
             "missing_shards": list(self.missing_shards),
         }
 
-    def to_result(self) -> QueryResult:
-        """The legacy :class:`QueryResult` shape (deprecated; warns once).
-
-        The returned object carries the *same* arrays and stats — the
-        envelope never copies — so the payload is bit-identical.
-        """
-        warn_legacy_shape("QueryOutcome.to_result()", "Index.query")
-        return QueryResult(
-            ids=self.ids,
-            distances=self.distances,
-            radius=self.radius,
-            stats=self.stats,
-            degraded=self.degraded,
-            missing_shards=self.missing_shards,
-        )
-
     def __repr__(self) -> str:
         return (
             f"QueryOutcome(r={self.radius}, found={self.output_size}, "
@@ -184,9 +163,7 @@ class BatchOutcome(Sequence[QueryOutcome]):
     """An immutable batch of :class:`QueryOutcome`, one per query row.
 
     Supports the full read-only sequence protocol (``len``, indexing,
-    slicing, iteration, ``in``), so code written against the legacy
-    ``list[QueryResult]`` shape keeps working unchanged on the payload
-    level.  Batch-level summaries (:attr:`degraded_count`,
+    slicing, iteration, ``in``).  Batch-level summaries (:attr:`degraded_count`,
     :attr:`strategy_counts`) live here instead of forcing callers to
     re-aggregate.
     """
@@ -222,21 +199,6 @@ class BatchOutcome(Sequence[QueryOutcome]):
         for outcome in self.outcomes:
             counts[outcome.strategy] = counts.get(outcome.strategy, 0) + 1
         return counts
-
-    def to_results(self) -> list[QueryResult]:
-        """The legacy ``list[QueryResult]`` shape (deprecated; warns once)."""
-        warn_legacy_shape("BatchOutcome.to_results()", "Index.query")
-        return [
-            QueryResult(
-                ids=outcome.ids,
-                distances=outcome.distances,
-                radius=outcome.radius,
-                stats=outcome.stats,
-                degraded=outcome.degraded,
-                missing_shards=outcome.missing_shards,
-            )
-            for outcome in self.outcomes
-        ]
 
     def __repr__(self) -> str:
         return f"BatchOutcome(n={len(self.outcomes)})"

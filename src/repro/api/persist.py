@@ -139,7 +139,7 @@ def save_index(index: Any, path: str) -> None:
         )
     if index.spec is None:
         raise ConfigurationError(
-            "this Index wraps a legacy engine and carries no IndexSpec; "
+            "this Index wraps a bare engine and carries no IndexSpec; "
             "build it via Index.build(points, spec) to make it persistable"
         )
     engine = index.engine
@@ -213,12 +213,7 @@ def open_index(
     worker processes — one ``"host:port,host:port"`` replica group per
     worker slot.
     """
-    from repro.api.facade import (
-        Index,
-        _cache_from_spec,
-        _resolve_estimator,
-        _ShardedBackend,
-    )
+    from repro.api.facade import Index, _cache_from_spec, _resolve_estimator
 
     meta_path = os.path.join(path, _META_FILE)
     if not os.path.exists(meta_path):
@@ -239,7 +234,7 @@ def open_index(
             fault_plan=fault_plan,
             endpoints=endpoints,
         )
-        return Index(_ShardedBackend(pool), spec=spec, cache=_cache_from_spec(spec))
+        return Index(pool, spec=spec, cache=_cache_from_spec(spec))
     if num_workers is not None:
         raise ConfigurationError(
             "num_workers applies to execution=\"processes\" indexes only; "
@@ -261,7 +256,7 @@ def open_index(
     estimator = _resolve_estimator(spec)
     num_shards = int(meta["num_shards"])
     layout = meta.get("layout", "dict")
-    backend: Any
+    engine: BatchQueryEngine | ShardedHybridIndex
     try:
         shard_indexes = [
             _load_shard_any(path, s, layout) for s in range(num_shards)
@@ -276,7 +271,9 @@ def open_index(
     if num_shards > 1:
         gids_path = os.path.join(path, _GIDS_FILE)
         try:
-            with np.load(gids_path, allow_pickle=False) as archive:
+            # Opened here, not by np.load: numpy leaks its own handle
+            # when a torn archive makes the zip reader raise.
+            with open(gids_path, "rb") as fh, np.load(fh, allow_pickle=False) as archive:
                 shard_gids = [archive[f"gids_{s:03d}"] for s in range(num_shards)]
         except Exception as exc:
             raise CorruptArtifactError(
@@ -289,7 +286,7 @@ def open_index(
             )
             for idx in shard_indexes
         ]
-        backend_engine = ShardedHybridIndex.from_state(
+        engine = ShardedHybridIndex.from_state(
             shards,
             shard_gids,
             metric=spec.metric,
@@ -298,11 +295,7 @@ def open_index(
             next_shard=int(meta.get("next_shard", 0)),
             dedup=spec.dedup,
         )
-        backend = _ShardedBackend(backend_engine)
     else:
-        from repro.api.facade import _SingleBackend
-
         searcher = HybridSearcher(shard_indexes[0], cost_model, estimator=estimator)
         engine = BatchQueryEngine(searcher, radius=spec.radius, dedup=spec.dedup)
-        backend = _SingleBackend(engine)
-    return Index(backend, spec=spec, cache=_cache_from_spec(spec))
+    return Index(engine, spec=spec, cache=_cache_from_spec(spec))

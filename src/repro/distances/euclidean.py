@@ -41,14 +41,13 @@ def euclidean_distance_batch(points: np.ndarray, query: np.ndarray) -> np.ndarra
     """L2 distances from every row of ``points`` to ``query``.
 
     Uses the expansion ``|x - q|^2 = |x|^2 - 2 x.q + |q|^2`` which turns
-    the scan into one matrix-vector product; negative round-off is
-    clipped before the square root.
+    the scan into one matrix-vector product. Rows within cancellation
+    range of the query are recomputed from their difference (see
+    :func:`_finish`), so a point's distance to itself is exactly zero.
     """
     points = np.asarray(points, dtype=np.float64)
     query = np.asarray(query, dtype=np.float64)
-    sq = np.einsum("ij,ij->i", points, points) - 2.0 * (points @ query) + np.dot(query, query)
-    np.clip(sq, 0.0, None, out=sq)
-    return np.sqrt(sq)
+    return _finish(euclidean_prepare(points), points, query)
 
 
 def euclidean_prepare(points: np.ndarray) -> np.ndarray:
@@ -69,7 +68,25 @@ def euclidean_distance_batch_prepared(
     """
     points = np.asarray(points, dtype=np.float64)
     query = np.asarray(query, dtype=np.float64)
-    sq = norms - 2.0 * (points @ query) + np.dot(query, query)
+    return _finish(norms, points, query)
+
+
+#: Squared distances below this fraction of ``|q|^2`` are recomputed from
+#: the difference vector: there the expansion's cancellation error (about
+#: ``eps * |q|^2``, and dependent on the BLAS reduction order of the
+#: matrix a row sits in) would swamp the true value.
+_CANCELLATION_RTOL = 1e-6
+
+
+def _finish(norms: np.ndarray, points: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Expansion distances, exact near the query, clipped and rooted."""
+    qq = np.dot(query, query)
+    sq = norms - 2.0 * (points @ query) + qq
+    tol = _CANCELLATION_RTOL * qq
+    if sq.size and sq.min() < tol:
+        near = np.flatnonzero(sq < tol)
+        diff = points[near] - query
+        sq[near] = np.einsum("ij,ij->i", diff, diff)
     np.clip(sq, 0.0, None, out=sq)
     return np.sqrt(sq)
 

@@ -58,6 +58,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.api.outcome import QueryOutcome
+from repro.api.spec import QuerySpec
 from repro.core.cost_model import CostModel
 from repro.core.hybrid import HybridLSH
 from repro.core.results import QueryResult, Strategy
@@ -152,6 +154,13 @@ def mixed_workload(
     data, queries = split_queries(points, num_queries=num_queries, seed=rng)
     radius = 0.25 * np.sqrt(2.0 * dim) * 1.2
     return data, queries, float(radius)
+
+
+def _ask(
+    front, queries: np.ndarray, radius: float, allow_partial: bool = False
+) -> list[QueryOutcome]:
+    """One radius batch through the serving front door, as a list."""
+    return list(front.query(QuerySpec(queries, radius=radius, allow_partial=allow_partial)))
 
 
 def _linear_fraction(results: list[QueryResult]) -> float:
@@ -280,7 +289,6 @@ def throughput_experiment(
     num_queries = queries.shape[0]
 
     from repro.api import Index
-
     from repro.core.hybrid import HybridSearcher
 
     hybrid = HybridLSH(
@@ -306,15 +314,15 @@ def throughput_experiment(
     # Warm every path once (BLAS thread pools, lazy imports) before timing.
     warm = queries[:2]
     [hybrid.searcher.query(q, radius) for q in warm]
-    batched_front.query_batch(warm, radius)
-    frozen_front.query_batch(warm, radius)
-    sharded_front.query_batch(warm, radius)
+    _ask(batched_front, warm, radius)
+    _ask(frozen_front, warm, radius)
+    _ask(sharded_front, warm, radius)
 
     seq_seconds, seq_results = _time_best(
         lambda: [hybrid.searcher.query(q, radius) for q in queries], repeats
     )
     bat_seconds, bat_results = _time_best(
-        lambda: batched_front.query_batch(queries, radius), repeats
+        lambda: _ask(batched_front, queries, radius), repeats
     )
     # Tracing must be measurement-only: same frozen engine, tracing on.
     # The traced row's ``matches`` flag doubles as the bit-identity gate
@@ -324,35 +332,27 @@ def throughput_experiment(
     def _frozen_traced():
         frozen_front.enable_tracing(True)
         try:
-            return frozen_front.query_batch(queries, radius)
+            return _ask(frozen_front, queries, radius)
         finally:
             frozen_front.enable_tracing(False)
 
     fz_seconds, fz_results, tr_seconds, tr_results = _time_best_interleaved(
-        lambda: frozen_front.query_batch(queries, radius),
+        lambda: _ask(frozen_front, queries, radius),
         _frozen_traced,
         repeats,
     )
     sh_seconds, sh_results = _time_best(
-        lambda: sharded_front.query_batch(queries, radius), repeats
+        lambda: _ask(sharded_front, queries, radius), repeats
     )
     sh_reference = [sharded.query(q, radius) for q in queries]
 
     seq_latency = _latency_pass(lambda q: hybrid.searcher.query(q, radius), queries)
-    bat_latency = _latency_pass(
-        lambda q: batched_front.query_batch(q[None, :], radius), queries
-    )
-    fz_latency = _latency_pass(
-        lambda q: frozen_front.query_batch(q[None, :], radius), queries
-    )
-    sh_latency = _latency_pass(
-        lambda q: sharded_front.query_batch(q[None, :], radius), queries
-    )
+    bat_latency = _latency_pass(lambda q: _ask(batched_front, q[None, :], radius), queries)
+    fz_latency = _latency_pass(lambda q: _ask(frozen_front, q[None, :], radius), queries)
+    sh_latency = _latency_pass(lambda q: _ask(sharded_front, q[None, :], radius), queries)
     frozen_front.enable_tracing(True)
     try:
-        tr_latency = _latency_pass(
-            lambda q: frozen_front.query_batch(q[None, :], radius), queries
-        )
+        tr_latency = _latency_pass(lambda q: _ask(frozen_front, q[None, :], radius), queries)
     finally:
         frozen_front.enable_tracing(False)
 
@@ -515,17 +515,15 @@ def _measure_multiprobe(
     )
     warm = queries[:2]
     [mp_searcher.query(q, radius) for q in warm]
-    frozen_front.query_batch(warm, radius)
+    _ask(frozen_front, warm, radius)
     seq_seconds, seq_results = _time_best(
         lambda: [mp_searcher.query(q, radius) for q in queries], repeats
     )
     fz_seconds, fz_results = _time_best(
-        lambda: frozen_front.query_batch(queries, radius), repeats
+        lambda: _ask(frozen_front, queries, radius), repeats
     )
     seq_latency = _latency_pass(lambda q: mp_searcher.query(q, radius), queries)
-    fz_latency = _latency_pass(
-        lambda q: frozen_front.query_batch(q[None, :], radius), queries
-    )
+    fz_latency = _latency_pass(lambda q: _ask(frozen_front, q[None, :], radius), queries)
     num_queries = queries.shape[0]
 
     def row(
@@ -746,14 +744,12 @@ def _measure_workers(
         front.close()
         workers_front = Index.open(path, num_workers=num_workers)
         try:
-            kwargs = {"allow_partial": True} if allow_partial else {}
-            workers_front.query_batch(queries[:2], radius, **kwargs)  # warm the pipes
+            _ask(workers_front, queries[:2], radius, allow_partial)  # warm the pipes
             seconds, results = _time_best(
-                lambda: workers_front.query_batch(queries, radius, **kwargs), repeats
+                lambda: _ask(workers_front, queries, radius, allow_partial), repeats
             )
             latency = _latency_pass(
-                lambda q: workers_front.query_batch(q[None, :], radius, **kwargs),
-                queries,
+                lambda q: _ask(workers_front, q[None, :], radius, allow_partial), queries
             )
             return seconds, results, latency
         finally:

@@ -123,7 +123,9 @@ def load_index(path: str) -> LSHIndex:
     buckets, same sketches (rebuilt deterministically), same fused
     query kernel.
     """
-    with np.load(path, allow_pickle=False) as archive:
+    # Opened here, not by np.load: numpy leaks its own handle when a
+    # torn archive makes the zip reader raise.
+    with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as archive:
         config = json.loads(bytes(archive["config_json"]).decode("utf-8"))
         if config.get("format_version") != _FORMAT_VERSION:
             raise ConfigurationError(

@@ -26,12 +26,10 @@ preserving the paper's semantics exactly:
   :class:`TcpTransport` for standalone :class:`ShardServer` processes
   (``python -m repro.cli shard-serve``) — and can fan reads across
   replica endpoints with automatic failover.
-* :class:`QueryService` — the legacy serving facade, now a thin
-  delegate over :class:`repro.api.Index`; :func:`serve_stream` speaks
-  a JSON-lines request/response protocol over an ``Index`` or a
-  ``QueryService`` (see ``python -m repro.cli serve``), and
-  :func:`serve_stream_concurrent` overlaps in-flight batches behind a
-  reader thread while keeping responses in request order.
+* :func:`serve_stream` speaks a JSON-lines request/response protocol
+  over an :class:`repro.api.Index` (see ``python -m repro.cli serve``),
+  and :func:`serve_stream_concurrent` overlaps in-flight batches behind
+  a reader thread while keeping responses in request order.
 
 These are the engines the spec-driven :mod:`repro.api` front door
 builds on; new code should start from :class:`repro.api.Index`.
@@ -39,9 +37,9 @@ builds on; new code should start from :class:`repro.api.Index`.
 
 from repro.service.batch import BatchQueryEngine
 from repro.service.cache import QueryResultCache
-from repro.service.service import QueryService, ServiceStats
 from repro.service.shard_server import ShardServer
 from repro.service.sharded import ShardedHybridIndex
+from repro.service.stats import ServiceStats
 from repro.service.stream import serve_stream, serve_stream_concurrent
 from repro.service.transport import PipeTransport, ShardTransport, TcpTransport
 from repro.service.workers import WorkerPool
@@ -50,7 +48,6 @@ __all__ = [
     "BatchQueryEngine",
     "PipeTransport",
     "QueryResultCache",
-    "QueryService",
     "ServiceStats",
     "ShardServer",
     "ShardTransport",

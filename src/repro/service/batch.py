@@ -23,14 +23,18 @@ layer is exactly where collapsing that constant is appropriate.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 import numpy as np
 
 from repro.core.adaptive import AdaptivePolicy, CostModelTuner
 from repro.core.cost_model import CostModel
 from repro.core.hybrid import HybridLSH, HybridSearcher
+from repro.core.linear_scan import exact_topk_results
 from repro.core.results import QueryResult, Strategy
+from repro.distances.matrix import pairwise_distances
 from repro.exceptions import ConfigurationError
-from repro.observability import StageTrace
+from repro.observability import StageTrace, stage_timer
 from repro.utils.rng import RandomState
 
 __all__ = ["BatchQueryEngine"]
@@ -58,6 +62,13 @@ class BatchQueryEngine:
     points added by :meth:`insert` — the stale-``points`` hazard of a
     cached scan cannot occur.
 
+    The engine is a one-shard index: it shares the shard surface of
+    :class:`~repro.service.sharded.ShardedHybridIndex` and
+    :class:`~repro.service.workers.WorkerPool` (``num_shards``,
+    ``shard_query_batch`` / ``merge_radius`` / ``map_shards``,
+    ``query_topk_batch``, ``peek_assignment``, ``close``), so
+    :class:`repro.api.Index` drives all three through one code path.
+
     Examples
     --------
     >>> import numpy as np
@@ -71,6 +82,9 @@ class BatchQueryEngine:
     >>> [int(r.ids[0]) for r in results] == [0, 1, 2, 3]
     True
     """
+
+    kind = "single"
+    num_shards = 1
 
     def __init__(
         self,
@@ -124,6 +138,11 @@ class BatchQueryEngine:
         return self.searcher.index
 
     @property
+    def cost_model(self) -> CostModel:
+        """The cost model driving the per-query dispatch."""
+        return self.searcher.cost_model
+
+    @property
     def n(self) -> int:
         """Number of indexed points (reflects inserts immediately)."""
         return self.index.n
@@ -154,6 +173,7 @@ class BatchQueryEngine:
         queries: np.ndarray,
         radius: float | None = None,
         trace: StageTrace | None = None,
+        allow_partial: bool = False,
         adaptive: AdaptivePolicy | None = None,
     ) -> list[QueryResult]:
         """Answer a ``(q, d)`` query matrix.
@@ -167,6 +187,8 @@ class BatchQueryEngine:
         ``recalibrate``, feeds the batch's observed per-stage timings
         into a :class:`~repro.core.adaptive.CostModelTuner` so
         subsequent batches dispatch with EWMA-recalibrated coefficients.
+        ``allow_partial`` is accepted for surface parity with the process
+        pool and ignored: one in-process shard cannot fail on its own.
         """
         recalibrate = adaptive is not None and adaptive.enabled and adaptive.recalibrate
         inner_trace = trace
@@ -182,6 +204,48 @@ class BatchQueryEngine:
         if recalibrate:
             self._observe_timings(results, inner_trace, adaptive)
         return results
+
+    def shard_query_batch(
+        self,
+        shard: int,
+        queries: np.ndarray,
+        radius: float,
+        adaptive: AdaptivePolicy | None = None,
+    ) -> list[QueryResult]:
+        """The only shard's answers (its ids are already global)."""
+        return self.query_batch(queries, radius, adaptive=adaptive)
+
+    def merge_radius(self, shard_results: list[QueryResult], radius: float) -> QueryResult:
+        """One shard's answer is the whole answer."""
+        return shard_results[0]
+
+    def map_shards(
+        self, work: Callable[[int], list[QueryResult]]
+    ) -> list[list[QueryResult]]:
+        """Run ``work(0)`` for the one shard, on the calling thread."""
+        return [work(0)]
+
+    def query_topk_batch(
+        self,
+        queries: np.ndarray,
+        k: int,
+        trace: StageTrace | None = None,
+        allow_partial: bool = False,
+    ) -> list[QueryResult]:
+        """Exact k-NN for a query matrix (one distance block, no merge).
+
+        Ordered by ascending distance with ``(distance, id)`` ties, like
+        the sharded engines; ``allow_partial`` is ignored.
+        """
+        index = self.index
+        if k > index.n:
+            raise ConfigurationError(f"k ({k}) must not exceed the index size ({index.n})")
+        with stage_timer(trace, "linear"):
+            block = pairwise_distances(queries, index.points, index.family.metric)
+        with stage_timer(trace, "merge"):
+            return exact_topk_results(
+                np.arange(index.n, dtype=np.int64), [block], k, index.n
+            )
 
     def _observe_timings(
         self,
@@ -224,6 +288,13 @@ class BatchQueryEngine:
         once (the searcher refreshes its scan on the next query).
         """
         return self.index.insert(new_points)
+
+    def peek_assignment(self, count: int) -> np.ndarray:
+        """Shard ids the next ``count`` inserted points go to (all 0)."""
+        return np.zeros(count, dtype=np.int64)
+
+    def close(self) -> None:
+        """Nothing to release: the engine owns no threads or processes."""
 
     def __repr__(self) -> str:
         return (

@@ -151,6 +151,8 @@ class ShardedHybridIndex:
     17
     """
 
+    kind = "sharded"
+
     def __init__(
         self,
         points: np.ndarray,

@@ -1,5 +1,4 @@
-"""Serving counters, shared by :class:`repro.api.Index` and the legacy
-:class:`~repro.service.service.QueryService` (which delegates to it).
+"""Serving counters kept by :class:`repro.api.Index` and its workers.
 
 Depends only on :mod:`repro.observability` (numpy + stdlib), so both
 layers — and worker subprocesses — can import it without ordering

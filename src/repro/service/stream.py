@@ -1,12 +1,10 @@
 """JSON-lines request/response protocol over a served index.
 
 One request per line, one response per line, in order.  The serving
-target is an :class:`repro.api.Index` (or a legacy
-:class:`~repro.service.service.QueryService`, which exposes the same
-query surface):
+target is an :class:`repro.api.Index`:
 
 * ``{"query": [..], "radius": 0.5}`` — an rNNR query (``radius``
-  optional when the index has a default) → a protocol **v2** envelope
+  optional when the index has a default) → the envelope
   ``{"v": 2, "ids": [...], "distances": [...], "found": n,
   "strategy": "lsh", "radius": r, "probes_used": p,
   "candidates_examined": c, "estimated_candidates": e, "exact": bool,
@@ -21,10 +19,6 @@ query surface):
 * either query kind may add ``"allow_partial": true`` to accept
   degraded answers when worker-pool shards are unavailable; a degraded
   response carries ``"degraded": true`` and ``"missing_shards": [..]``;
-* passing ``proto=1`` (the CLI's ``--proto v1``) restores the legacy
-  response body byte-for-byte: only ``ids`` / ``distances`` / ``found``
-  / ``strategy``, with ``degraded`` / ``missing_shards`` appearing on
-  degraded answers only and no ``"v"`` marker;
 * ``{"op": "insert", "points": [[..], ..]}`` — add points →
   ``{"inserted": m, "ids": [...], "n": total}``;
 * ``{"op": "stats"}`` — telemetry snapshot → the enriched
@@ -48,6 +42,10 @@ answered with one engine batch (grouped by radius), which is where the
 batched engine's throughput comes from; an idle interactive client
 always gets its response immediately.  Malformed lines produce
 ``{"error": "..."}`` without disturbing neighbouring requests.
+
+Indexes the stream itself opened or created (``op: open`` /
+``op: create``) are closed when the stream ends; the index the caller
+passed in stays theirs to close.
 
 ``python -m repro.cli serve`` wires this to stdin/stdout.
 """
@@ -118,32 +116,8 @@ def _parse_query(
     return query, radius, k, allow_partial, adaptive_key
 
 
-def _answer(result, proto: int = 2) -> str:
-    if proto < 2:
-        doc = {
-            "ids": result.ids.tolist(),
-            "distances": result.distances.tolist(),
-            "found": result.output_size,
-            "strategy": _strategy_of(result),
-        }
-        # Only degraded answers grow the two extra keys, so full-fidelity
-        # v1 response lines stay byte-identical to the pre-fault protocol.
-        if getattr(result, "degraded", False):
-            doc["degraded"] = True
-            doc["missing_shards"] = [int(s) for s in result.missing_shards]
-        return json.dumps(doc)
-    from repro.api.outcome import QueryOutcome
-
-    if not isinstance(result, QueryOutcome):
-        result = QueryOutcome.from_result(result)
-    return json.dumps({"v": 2, "found": result.output_size, **result.as_dict()})
-
-
-def _strategy_of(result) -> str:
-    strategy = getattr(result, "strategy", None)
-    if isinstance(strategy, str):  # QueryOutcome carries the plain string
-        return strategy
-    return result.stats.strategy.value
+def _answer(outcome) -> str:
+    return json.dumps({"v": 2, "found": outcome.output_size, **outcome.as_dict()})
 
 
 def _query_spec_kwargs(
@@ -166,21 +140,12 @@ def _query_spec_kwargs(
     return kwargs
 
 
-def _flush(
-    service,
-    pending: list,
-    proto: int = 2,
-) -> list[str]:
+def _flush(index, pending: list) -> list[str]:
     """Answer the buffered radius queries, one engine batch per group.
 
     Queries batch together only when they share the radius, the
-    ``allow_partial`` choice and the adaptive-override fields.  An
-    :class:`~repro.api.Index` target is queried through the spec front
-    door (``index.query(QuerySpec(...))``, the envelope path); legacy
-    duck-typed targets keep the plain ``query_batch(batch, radius)``
-    call so pre-envelope services stay servable.
+    ``allow_partial`` choice and the adaptive-override fields.
     """
-    from repro.api.facade import Index
     from repro.api.spec import QuerySpec
 
     responses: list[str | None] = [None] * len(pending)
@@ -190,15 +155,10 @@ def _flush(
     for (radius, allow_partial, adaptive_key), rows in groups.items():
         batch = np.stack([pending[j][0] for j in rows])
         try:
-            if isinstance(service, Index):
-                spec = QuerySpec(
-                    batch, **_query_spec_kwargs(radius, allow_partial, adaptive_key)
-                )
-                results = list(service.query(spec))
-            elif allow_partial:
-                results = service.query_batch(batch, radius, allow_partial=True)
-            else:
-                results = service.query_batch(batch, radius)
+            spec = QuerySpec(
+                batch, **_query_spec_kwargs(radius, allow_partial, adaptive_key)
+            )
+            outcomes = list(index.query(spec))
         except Exception as exc:
             # e.g. no radius given and the engine has no default, or an
             # unavailable shard without allow_partial; the per-line
@@ -207,8 +167,8 @@ def _flush(
             for j in rows:
                 responses[j] = error
             continue
-        for j, result in zip(rows, results):
-            responses[j] = _answer(result, proto)
+        for j, outcome in zip(rows, outcomes):
+            responses[j] = _answer(outcome)
     pending.clear()
     return responses
 
@@ -221,19 +181,11 @@ def _handle_op(state: dict, request: dict) -> str:
     service = state["target"]
     op = request.get("op")
     if op == "stats":
-        # An Index answers with the enriched snapshot (latency
-        # histogram, stages, gauges, live worker aggregation); a legacy
-        # QueryService falls back to the flat counter document.
-        snapshot = getattr(service, "stats_snapshot", None)
-        if snapshot is not None:
-            return json.dumps(snapshot())
-        return json.dumps(service.stats.as_dict())
+        return json.dumps(service.stats_snapshot())
     if op == "metrics":
         from repro.observability import prometheus_text
 
-        snapshot = getattr(service, "stats_snapshot", None)
-        doc = snapshot() if snapshot is not None else service.stats.as_dict()
-        return json.dumps({"metrics": prometheus_text(doc)})
+        return json.dumps({"metrics": prometheus_text(service.stats_snapshot())})
     if op == "insert":
         try:
             points = np.asarray(request["points"], dtype=np.float64)
@@ -244,7 +196,7 @@ def _handle_op(state: dict, request: dict) -> str:
             {"inserted": int(ids.size), "ids": ids.tolist(), "n": service.n}
         )
     if op == "spec":
-        spec = getattr(service, "spec", None)
+        spec = service.spec
         if spec is None:
             return json.dumps({"error": "the served index carries no spec"})
         return json.dumps({"spec": spec.to_dict()})
@@ -292,18 +244,22 @@ def _swap_target(state: dict, new_target) -> None:
         old.close()
 
 
+def _close_owned(state: dict) -> None:
+    """Close the target when the stream itself opened or created it."""
+    if state["owned"]:
+        state["target"].close()
+
+
 def serve_stream(
     service,
     lines: Iterable[str],
     batch_size: int = 64,
     more_ready: Callable[[], bool] | None = None,
     default_allow_partial: bool = False,
-    proto: int = 2,
 ) -> Iterator[str]:
     """Yield one JSON response line per JSON request line, in order.
 
-    ``service`` is an :class:`repro.api.Index` or a legacy
-    :class:`~repro.service.service.QueryService`.  ``more_ready``
+    ``service`` is an :class:`repro.api.Index`.  ``more_ready``
     reports whether further input is already waiting (e.g. a ``select``
     probe on stdin).  Queries are only buffered toward ``batch_size``
     while it returns ``True``; without it every query is answered
@@ -315,59 +271,57 @@ def serve_stream(
     every query line into degraded answers; individual requests can
     still ask for ``"allow_partial": true`` themselves, but cannot opt
     back out of a server-level default — partiality only ever widens.
-
-    ``proto`` selects the response body: ``2`` (default) emits the
-    :class:`~repro.api.QueryOutcome` envelope with a ``"v": 2`` marker;
-    ``1`` emits the legacy body byte-for-byte.
     """
     state = {"target": service, "owned": False}
-    pending: list = []
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            request = json.loads(line)
-            if not isinstance(request, dict):
-                raise ValueError("request must be a JSON object")
-        except ValueError as exc:
-            yield from _flush(state["target"], pending)
-            yield json.dumps({"error": f"bad request: {exc}"})
-            continue
-
-        if "query" in request:
+    try:
+        pending: list = []
+        for line in lines:
+            line = line.strip()
+            if not line:
+                continue
             try:
-                query, radius, k, allow_partial, adaptive_key = _parse_query(
-                    request, state["target"].dim
-                )
-            except (ValueError, TypeError) as exc:
-                yield from _flush(state["target"], pending, proto)
-                yield json.dumps({"error": str(exc)})
+                request = json.loads(line)
+                if not isinstance(request, dict):
+                    raise ValueError("request must be a JSON object")
+            except ValueError as exc:
+                yield from _flush(state["target"], pending)
+                yield json.dumps({"error": f"bad request: {exc}"})
                 continue
-            allow_partial = allow_partial or default_allow_partial
-            if k is not None:
-                # Top-k requests are answered immediately (no batching
-                # across k values); queued radius queries drain first to
-                # keep responses aligned with request order.
-                yield from _flush(state["target"], pending, proto)
-                try:
-                    yield _answer(
-                        _topk(state["target"], query, k, allow_partial, adaptive_key),
-                        proto,
-                    )
-                except Exception as exc:
-                    yield json.dumps({"error": f"query failed: {exc}"})
-                continue
-            pending.append((query, radius, allow_partial, adaptive_key))
-            if len(pending) >= batch_size or not (more_ready and more_ready()):
-                yield from _flush(state["target"], pending, proto)
-            continue
 
-        # Non-query ops act on the index state, so drain queued queries
-        # first to keep responses aligned with request order.
-        yield from _flush(state["target"], pending, proto)
-        yield _handle_op(state, request)
-    yield from _flush(state["target"], pending, proto)
+            if "query" in request:
+                try:
+                    query, radius, k, allow_partial, adaptive_key = _parse_query(
+                        request, state["target"].dim
+                    )
+                except (ValueError, TypeError) as exc:
+                    yield from _flush(state["target"], pending)
+                    yield json.dumps({"error": str(exc)})
+                    continue
+                allow_partial = allow_partial or default_allow_partial
+                if k is not None:
+                    # Top-k requests are answered immediately (no batching
+                    # across k values); queued radius queries drain first to
+                    # keep responses aligned with request order.
+                    yield from _flush(state["target"], pending)
+                    try:
+                        yield _answer(
+                            _topk(state["target"], query, k, allow_partial, adaptive_key)
+                        )
+                    except Exception as exc:
+                        yield json.dumps({"error": f"query failed: {exc}"})
+                    continue
+                pending.append((query, radius, allow_partial, adaptive_key))
+                if len(pending) >= batch_size or not (more_ready and more_ready()):
+                    yield from _flush(state["target"], pending)
+                continue
+
+            # Non-query ops act on the index state, so drain queued queries
+            # first to keep responses aligned with request order.
+            yield from _flush(state["target"], pending)
+            yield _handle_op(state, request)
+        yield from _flush(state["target"], pending)
+    finally:
+        _close_owned(state)
 
 
 def _topk(
@@ -377,11 +331,9 @@ def _topk(
     allow_partial: bool = False,
     adaptive_key: tuple[bool | None, int | None, float | None] = _NO_ADAPTIVE,
 ):
-    """Answer one top-k request on an Index (or an Index-backed service)."""
+    """Answer one top-k request on an Index."""
     from repro.api.spec import QuerySpec
 
-    if hasattr(target, "_index"):  # legacy QueryService delegate
-        target = target._index
     kwargs = _query_spec_kwargs(None, allow_partial, adaptive_key)
     return target.query(QuerySpec(query, k=k, **kwargs))
 
@@ -392,7 +344,6 @@ def serve_stream_concurrent(
     batch_size: int = 64,
     window: int = 4,
     default_allow_partial: bool = False,
-    proto: int = 2,
 ) -> Iterator[str]:
     """The concurrent front-end: overlapped batches, ordered responses.
 
@@ -465,7 +416,7 @@ def serve_stream_concurrent(
             pending.clear()
             target = state["target"]
             inflight.append(
-                (executor.submit(_flush, target, batch, proto), len(batch))
+                (executor.submit(_flush, target, batch), len(batch))
             )
 
     def _results_of(future, count: int) -> list[str]:
@@ -532,8 +483,7 @@ def serve_stream_concurrent(
                             _topk(
                                 state["target"], query, k,
                                 allow_partial, adaptive_key,
-                            ),
-                            proto,
+                            )
                         )
                     except Exception as exc:
                         yield json.dumps({"error": f"query failed: {exc}"})
@@ -560,3 +510,4 @@ def serve_stream_concurrent(
                 inbox.get_nowait()
         reader.join(timeout=5.0)
         executor.shutdown(wait=True)
+        _close_owned(state)

@@ -18,9 +18,8 @@ thread path (shared :func:`~repro.service.sharded.merge_radius_results`
 ``execution="threads"``.  The public surface mirrors
 ``ShardedHybridIndex`` — ``query`` / ``query_batch`` / ``query_topk`` /
 ``query_topk_batch`` / ``insert`` / ``shard_query_batch`` /
-``merge_radius`` / ``map_shards`` — so :class:`repro.api.Index`,
-:class:`~repro.service.service.QueryService` and the stream protocol
-work unchanged on top.
+``merge_radius`` / ``map_shards`` — so :class:`repro.api.Index` and
+the stream protocol work unchanged on top.
 
 Transports and replica sets
 ---------------------------
@@ -358,7 +357,11 @@ class WorkerPool:
         gids_path = os.path.join(path, _GIDS_FILE)
         if self.num_shards > 1:
             try:
-                with np.load(gids_path, allow_pickle=False) as archive:
+                # Opened here, not by np.load: numpy leaks its own handle
+                # when a torn archive makes the zip reader raise.
+                with open(gids_path, "rb") as fh, np.load(
+                    fh, allow_pickle=False
+                ) as archive:
                     self._shard_gids = [
                         np.asarray(archive[f"gids_{s:03d}"], dtype=np.int64)
                         for s in range(self.num_shards)

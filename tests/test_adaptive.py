@@ -4,8 +4,8 @@ The contracts under test:
 
 * :class:`~repro.api.QueryOutcome` / :class:`~repro.api.BatchOutcome`
   are the only shapes :meth:`repro.api.Index.query` returns, on every
-  execution path, and their payload arrays are bit-identical to the
-  deprecated legacy shapes (which still work, warning once);
+  execution path, and their payload arrays are the engine's own
+  :class:`~repro.core.results.QueryResult` arrays;
 * a bounded probe budget (``target_candidates``) only ever *trims*:
   adaptive radius answers are a subset of the fixed-budget answers with
   ``probes_used`` never above the fixed fan-out — and with a
@@ -19,9 +19,8 @@ The contracts under test:
 * ``Index.reset_stats()`` propagates through a worker pool: transport
   counters, worker-side stats and recalibration counts all read zero in
   the next snapshot;
-* the JSON-lines stream speaks protocol v2 (the envelope body) by
-  default and byte-identical v1 under ``proto=1``, and consumes the
-  adaptive request fields.
+* the JSON-lines stream speaks protocol v2 (the envelope body) and
+  consumes the adaptive request fields.
 """
 
 import json
@@ -171,30 +170,16 @@ class TestEnvelope:
         assert out.radius == float(out.distances[-1])
 
     def test_payload_bit_identical_to_legacy_shape(self, index):
+        """The envelope carries the engine's ``QueryResult`` payload as is."""
         queries = _points(500, seed=0)[:6]
         batch = index.query(QuerySpec(queries))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = index.query_batch(queries)
-            converted = batch.to_results()
-        for out, old, conv in zip(batch, legacy, converted):
-            assert np.array_equal(out.ids, old.ids)
-            assert np.array_equal(out.distances, old.distances)
-            assert out.ids is conv.ids  # the envelope never copies
-            assert out.stats is conv.stats
-
-    def test_legacy_shapes_warn_once(self, index):
-        import repro.api.deprecations as dep
-
-        queries = _points(500, seed=0)[:2]
-        dep._WARNED.discard("Index.query_batch()")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            index.query_batch(queries)
-            index.query_batch(queries)
-        messages = [str(w.message) for w in caught]
-        assert sum("Index.query_batch()" in m for m in messages) == 1
-        assert all("QueryOutcome" in m for m in messages if m)
+        engine_rows = index.engine.query_batch(queries)
+        for out, row in zip(batch, engine_rows):
+            assert np.array_equal(out.ids, row.ids)
+            assert np.array_equal(out.distances, row.distances)
+            wrapped = QueryOutcome.from_result(row)
+            assert wrapped.ids is row.ids  # the envelope never copies
+            assert wrapped.stats is row.stats
 
     def test_as_dict_is_json_safe(self, index):
         out = index.query(QuerySpec(_points(500, seed=0)[7], k=5))
@@ -510,21 +495,6 @@ class TestStreamProtocolV2:
             ):
                 assert key in doc
         assert topk_doc["exact"] is True and topk_doc["found"] == 4
-
-    def test_proto_v1_is_byte_identical_to_legacy(self, served):
-        index, points = served
-        line = json.dumps({"query": points[0].tolist()})
-        (v1_line,) = serve_stream(index, [line], proto=1)
-        out = index.query(QuerySpec(points[0]))
-        legacy = json.dumps(
-            {
-                "ids": out.ids.tolist(),
-                "distances": out.distances.tolist(),
-                "found": out.output_size,
-                "strategy": out.strategy,
-            }
-        )
-        assert v1_line == legacy
 
     def test_adaptive_request_fields_are_consumed(self, served):
         index, points = served

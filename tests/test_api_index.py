@@ -109,7 +109,7 @@ class TestBuildParity:
         index.save(path)
         reopened = Index.open(path)
         queries = gaussian_points[:8]
-        for ra, rb in zip(index.query_batch(queries), reopened.query_batch(queries)):
+        for ra, rb in zip(index.query(QuerySpec(queries)), reopened.query(QuerySpec(queries))):
             assert np.array_equal(ra.ids, rb.ids)
             assert np.array_equal(ra.distances, rb.distances)
         index.close(), reopened.close()
@@ -330,6 +330,42 @@ class TestStreamSpecOps:
         assert out[5]["created"] is True and out[5]["n"] == 50
         assert 0 in out[6]["ids"]
 
+    @pytest.mark.parametrize("concurrent", [False, True])
+    def test_stream_closes_the_indexes_it_opened(
+        self, single_index, gaussian_points, tmp_path, monkeypatch, concurrent
+    ):
+        """Targets from ``op: open``/``create`` close with the stream; the
+        caller's own index stays open."""
+        from repro.service.stream import serve_stream_concurrent
+
+        saved = str(tmp_path / "served-index")
+        single_index.save(saved)
+        closed = []
+        real_close = Index.close
+
+        def tracking_close(index):
+            closed.append(index)
+            real_close(index)
+
+        monkeypatch.setattr(Index, "close", tracking_close)
+        lines = [
+            json.dumps({"op": "open", "path": saved}),
+            json.dumps(
+                {
+                    "op": "create",
+                    "spec": {"metric": "l2", "radius": 1.0, "num_tables": 4, "seed": 2},
+                    "points": gaussian_points[:50].tolist(),
+                }
+            ),
+        ]
+        serve = serve_stream_concurrent if concurrent else serve_stream
+        out = [json.loads(line) for line in serve(single_index, lines)]
+        assert out[0]["opened"] == saved and out[1]["created"] is True
+        # The opened index closes on swap, the created one at stream end.
+        assert len(closed) == 2
+        assert all(index is not single_index for index in closed)
+        assert closed[1].n == 50
+
     def test_topk_over_the_wire(self, single_index, gaussian_points):
         lines = [json.dumps({"query": gaussian_points[0].tolist(), "k": 5})]
         out = [json.loads(line) for line in serve_stream(single_index, lines)]
@@ -344,13 +380,14 @@ class TestStreamSpecOps:
         assert "error" in out[0]
 
     def test_spec_op_on_legacy_service_reports_error(self, gaussian_points):
-        from repro.service import BatchQueryEngine, QueryService
+        """An index wrapped around a bare engine carries no spec."""
+        from repro.service import BatchQueryEngine
 
         engine = BatchQueryEngine.from_points(
             gaussian_points, metric="l2", radius=1.0, num_tables=6,
             cost_model=CostModel.from_ratio(6.0), seed=1,
         )
-        service = QueryService(engine)
+        service = Index.from_engine(engine)
         out = [
             json.loads(line)
             for line in serve_stream(service, [json.dumps({"op": "spec"})])

@@ -164,6 +164,24 @@ class TestCli:
         captured = capsys.readouterr()
         assert 5 in json.loads(captured.out.splitlines()[0])["ids"]
 
+    def test_serve_closes_its_process_pool(self, capsys, monkeypatch, tmp_path):
+        """Regression: serve must close the index it built, so the
+        worker pool's transient artifact directory is removed."""
+        import tempfile
+
+        from repro.datasets import corel_like
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        dataset = corel_like(n=400, seed=0)
+        request = json.dumps({"query": dataset.points[0].tolist()})
+        monkeypatch.setattr("sys.stdin", io.StringIO(request + "\n"))
+        assert main([
+            "serve", "--dataset", "corel", "--n", "400", "--tables", "6",
+            "--shards", "2", "--layout", "frozen", "--execution", "processes",
+        ]) == 0
+        assert 0 in json.loads(capsys.readouterr().out.splitlines()[0])["ids"]
+        assert not list(tmp_path.glob("repro-worker-pool-*"))
+
     def test_line_stream_probe_sees_buffered_burst(self):
         """A keep-alive client's burst must be visible to the backlog
         probe even once it sits in the reader's buffer, so serve keeps
@@ -397,6 +415,7 @@ def _spawn_shard_server(artifact, shards=None):
     line = proc.stdout.readline()
     if not line:
         proc.wait(timeout=10)
+        proc.stdout.close()
         raise RuntimeError(f"shard-serve exited {proc.returncode} without a banner")
     return proc, json.loads(line)
 
@@ -463,6 +482,8 @@ class TestCliNetworked:
         finally:
             if proc.poll() is None:
                 proc.kill()
+                proc.wait(timeout=10)
+            proc.stdout.close()
 
     def test_shard_serve_rejects_bad_shard_lists(self, artifact):
         with pytest.raises(SystemExit, match="comma-separated"):

@@ -11,13 +11,15 @@ piece, never a raw ``ValueError``/``EOFError`` from ``np.load`` or a
 silently wrong index.
 """
 
+import gc
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
 
-from repro.api import Index, IndexSpec
+from repro.api import Index, IndexSpec, QuerySpec
 from repro.exceptions import ConfigurationError, CorruptArtifactError
 from repro.service.workers import WorkerPool
 
@@ -78,7 +80,7 @@ class TestAtomicWrites:
         reopened = Index.open(saved)
         try:
             assert reopened.n == N
-            result = reopened.query_batch(points[:1])[0]
+            result = reopened.query(QuerySpec(points[:1]))[0]
             assert 0 in result.ids
         finally:
             reopened.close()
@@ -135,6 +137,17 @@ class TestTornArtifacts:
             fh.write(b"PK\x03\x04 torn")
         with pytest.raises(CorruptArtifactError):
             Index.open(saved)
+        # A server cycling ``op: open`` over torn artifacts must not
+        # leak the archive's file handle on each failed attempt.
+        fds_before = len(os.listdir("/proc/self/fd"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            for _ in range(5):
+                with pytest.raises(CorruptArtifactError):
+                    Index.open(saved)
+            gc.collect()
+        assert len(os.listdir("/proc/self/fd")) == fds_before
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_missing_metadata_stays_a_configuration_error(self, saved):
         os.remove(os.path.join(saved, "index.json"))

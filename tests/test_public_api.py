@@ -24,6 +24,21 @@ class TestExports:
         assert len(parts) == 3
         assert all(p.isdigit() for p in parts)
 
+    def test_finished_deprecations_are_gone(self):
+        """The warn-once front doors and result shims have been removed."""
+        import importlib
+
+        from repro.api import BatchOutcome, Index, QueryOutcome
+
+        for name in ("HybridLSH", "QueryService", "BatchQueryEngine", "ShardedHybridIndex"):
+            assert not hasattr(repro, name), name
+        for module in ("repro.api.deprecations", "repro.service.service"):
+            with pytest.raises(ModuleNotFoundError):
+                importlib.import_module(module)
+        assert not hasattr(Index, "query_batch")
+        assert not hasattr(QueryOutcome, "to_result")
+        assert not hasattr(BatchOutcome, "to_results")
+
     def test_subpackage_alls_resolve(self):
         import repro.core
         import repro.datasets

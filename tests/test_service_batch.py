@@ -94,6 +94,29 @@ class TestEngineSurface:
         with pytest.raises(ConfigurationError):
             BatchQueryEngine(hybrid.searcher, dedup="nope")
 
+    def test_one_shard_surface(self, hybrid, gaussian_points):
+        """The engine answers the shard surface the sharded engines share."""
+        engine = BatchQueryEngine(hybrid.searcher, radius=1.2)
+        queries = gaussian_points[:5]
+        assert (engine.num_shards, engine.kind) == (1, "single")
+        assert engine.cost_model is hybrid.searcher.cost_model
+        whole = engine.query_batch(queries, allow_partial=True)
+        parts = engine.map_shards(lambda s: engine.shard_query_batch(s, queries, 1.2))
+        assert len(parts) == 1
+        for row, part in zip(whole, parts[0]):
+            merged = engine.merge_radius([part], 1.2)
+            assert np.array_equal(row.ids, merged.ids)
+            assert np.array_equal(row.distances, merged.distances)
+        topk = engine.query_topk_batch(queries, k=3)
+        brute = np.linalg.norm(queries[:, None, :] - gaussian_points[None, :, :], axis=2)
+        for q, row in enumerate(topk):
+            assert row.ids.tolist() == np.argsort(brute[q], kind="stable")[:3].tolist()
+        with pytest.raises(ConfigurationError):
+            engine.query_topk_batch(queries, k=engine.n + 1)
+        assert engine.peek_assignment(4).tolist() == [0, 0, 0, 0]
+        engine.close()  # nothing to release; the engine keeps serving
+        assert 0 in engine.query(gaussian_points[0]).ids
+
 
 class TestInsertThenBatchQuery:
     """Regression for the stale-``points`` hazard: a batch issued after

@@ -1,19 +1,15 @@
-"""Tests for the query-result cache and the serving facade."""
+"""Tests for the query-result cache and the cache-fronted ``Index``."""
 
 import json
 
 import numpy as np
 import pytest
 
+from repro.api import Index, IndexSpec, QuerySpec
 from repro.core import CostModel
 from repro.core.results import QueryResult
 from repro.exceptions import ConfigurationError
-from repro.service import (
-    BatchQueryEngine,
-    QueryResultCache,
-    QueryService,
-    serve_stream,
-)
+from repro.service import BatchQueryEngine, QueryResultCache, serve_stream
 
 
 def _dummy_result(ids=(1, 2)) -> QueryResult:
@@ -95,22 +91,20 @@ class TestKeying:
 
 
 @pytest.fixture
-def service(gaussian_points) -> QueryService:
-    engine = BatchQueryEngine.from_points(
-        gaussian_points,
-        metric="l2",
-        radius=1.0,
-        num_tables=6,
-        cost_model=CostModel.from_ratio(6.0),
-        seed=1,
+def service(gaussian_points) -> Index:
+    """A single-shard index with the result cache on."""
+    spec = IndexSpec(
+        metric="l2", radius=1.0, num_tables=6, cost_ratio=6.0, seed=1, cache_size=64
     )
-    return QueryService(engine, cache=QueryResultCache(maxsize=64))
+    return Index.build(gaussian_points, spec)
 
 
 class TestQueryService:
+    """Cache-fronted serving, through an ``Index`` with ``cache_size > 0``."""
+
     def test_repeat_query_hits_cache(self, service, gaussian_points):
-        first = service.query(gaussian_points[0])
-        second = service.query(gaussian_points[0])
+        first = service.query(QuerySpec(gaussian_points[0]))
+        second = service.query(QuerySpec(gaussian_points[0]))
         assert np.array_equal(first.ids, second.ids)
         assert service.stats.cache_hits == 1
         assert service.stats.cache_misses == 1
@@ -118,7 +112,7 @@ class TestQueryService:
 
     def test_duplicates_within_one_batch_collapse(self, service, gaussian_points):
         batch = np.stack([gaussian_points[0], gaussian_points[1], gaussian_points[0]])
-        results = service.query_batch(batch)
+        results = service.query(QuerySpec(batch))
         assert np.array_equal(results[0].ids, results[2].ids)
         assert service.stats.cache_misses == 2  # only two engine queries
         # The duplicate is engine work avoided, but not a cache hit —
@@ -127,11 +121,11 @@ class TestQueryService:
         assert service.stats.cache_hits == 0
 
     def test_cached_results_match_uncached(self, gaussian_points, service):
-        bare = QueryService(service.engine, cache=None)
+        bare = Index.from_engine(service.engine, cache=None)
         queries = gaussian_points[::50]
-        service.query_batch(queries)  # warm the cache
-        cached = service.query_batch(queries)  # all hits
-        uncached = bare.query_batch(queries)
+        service.query(QuerySpec(queries))  # warm the cache
+        cached = service.query(QuerySpec(queries))  # all hits
+        uncached = bare.query(QuerySpec(queries))
         for c, u in zip(cached, uncached):
             assert np.array_equal(c.ids, u.ids)
             assert np.array_equal(c.distances, u.distances)
@@ -139,30 +133,30 @@ class TestQueryService:
     def test_insert_invalidates_cache(self, service, gaussian_points):
         """Regression: stale cached answers after an insert."""
         query = gaussian_points[0]
-        before = service.query(query)
+        before = service.query(QuerySpec(query))
         ids = service.insert(query[None, :] + 1e-5)
-        after = service.query(query)
+        after = service.query(QuerySpec(query))
         assert ids[0] in after.ids
         assert ids[0] not in before.ids
         assert after.output_size == before.output_size + 1
 
     def test_strategy_counts_accumulate(self, service, gaussian_points):
-        service.query_batch(gaussian_points[:10])
+        service.query(QuerySpec(gaussian_points[:10]))
         assert sum(service.stats.strategy_counts.values()) == 10
 
     def test_stats_snapshot_roundtrips_json(self, service, gaussian_points):
-        service.query(gaussian_points[0])
+        service.query(QuerySpec(gaussian_points[0]))
         payload = json.dumps(service.stats.as_dict())
         assert json.loads(payload)["queries_served"] == 1
 
     def test_stats_attribute_stays_assignable(self, service, gaussian_points):
-        """Legacy callers reset counters by assignment, not reset_stats()."""
+        """Callers may reset counters by assignment, not reset_stats()."""
         from repro.service import ServiceStats
 
-        service.query(gaussian_points[0])
+        service.query(QuerySpec(gaussian_points[0]))
         service.stats = ServiceStats()
         assert service.stats.queries_served == 0
-        service.query(gaussian_points[1])
+        service.query(QuerySpec(gaussian_points[1]))
         assert service.stats.queries_served == 1
 
 
@@ -209,7 +203,7 @@ class TestServeStream:
             seed=1,
         )
         engine.radius = None  # serving without a default radius
-        bare = QueryService(engine)
+        bare = Index.from_engine(engine)
         lines = [
             json.dumps({"query": gaussian_points[0].tolist()}),  # no radius
             json.dumps({"query": gaussian_points[1].tolist(), "radius": 1.0}),

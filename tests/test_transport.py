@@ -196,7 +196,7 @@ class TestTcpBitIdentity:
     ):
         tcp = tcp_pool.query_batch(queries)
         assert_results_equal(tcp, pipe_pool.query_batch(queries))
-        assert_results_equal(tcp, thread_index.query_batch(queries))
+        assert_results_equal(tcp, thread_index.query(QuerySpec(queries)))
 
     def test_topk_matches_pipe_and_threads(
         self, tcp_pool, pipe_pool, thread_index, queries
@@ -214,7 +214,7 @@ class TestTcpBitIdentity:
                 assert isinstance(index.engine, WorkerPool)
                 assert index.engine.replicas == 1
                 assert_results_equal(
-                    index.query_batch(queries), pipe_pool.query_batch(queries)
+                    index.query(QuerySpec(queries)), pipe_pool.query_batch(queries)
                 )
             finally:
                 index.close()
@@ -236,7 +236,7 @@ class TestReplicatedPipes:
             assert pool.replicas == 2
             assert len(pool.worker_pids()) == 4  # 2 slots x 2 replicas
             assert_results_equal(
-                index.query_batch(queries), thread_index.query_batch(queries)
+                index.query(QuerySpec(queries)), thread_index.query(QuerySpec(queries))
             )
         finally:
             index.close()
@@ -369,6 +369,7 @@ def _spawn_shard_server(artifact, shard=None):
     line = proc.stdout.readline()
     if not line:
         proc.wait(timeout=10)
+        proc.stdout.close()
         raise RuntimeError(f"shard-serve exited {proc.returncode} without a banner")
     return proc, json.loads(line)
 
@@ -402,6 +403,7 @@ class TestKilledReplicaProcesses:
                 if proc.poll() is None:
                     proc.send_signal(signal.SIGINT)
                     proc.wait(timeout=10)
+                proc.stdout.close()
 
     def test_whole_replica_set_down_raises_or_degrades(self, artifact, queries):
         proc_a, banner_a = _spawn_shard_server(artifact, shard=0)
@@ -435,6 +437,8 @@ class TestKilledReplicaProcesses:
             for proc in (proc_a, proc_b):
                 if proc.poll() is None:
                     proc.kill()
+                    proc.wait(timeout=10)
+                proc.stdout.close()
 
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -460,7 +464,7 @@ class TestTransportEquivalenceProperty:
         )
         tcp = tcp_pool.query_batch(batch)
         assert_results_equal(tcp, pipe_pool.query_batch(batch))
-        assert_results_equal(tcp, thread_index.query_batch(batch))
+        assert_results_equal(tcp, thread_index.query(QuerySpec(batch)))
         tcp_k = tcp_pool.query_topk_batch(batch, k=4)
         assert_results_equal(tcp_k, pipe_pool.query_topk_batch(batch, k=4))
         assert_results_equal(tcp_k, thread_index.query(QuerySpec(batch, k=4)))
