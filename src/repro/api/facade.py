@@ -24,7 +24,7 @@ facade calls each of them through the same code path:
 from __future__ import annotations
 
 import time
-from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor
 from typing import Any, cast
 
 import numpy as np
@@ -38,7 +38,7 @@ from repro.core.calibration import (
     measure_distance_profile,
 )
 from repro.core.cost_model import CostModel
-from repro.core.hybrid import HybridLSH, HybridSearcher
+from repro.core.hybrid import HybridSearcher
 from repro.core.presets import _PSTABLE_PRESETS, paper_parameters
 from repro.core.results import QueryResult
 from repro.distances import get_metric
@@ -50,9 +50,10 @@ from repro.index.lsh_index import LSHIndex
 from repro.observability import StageTrace
 from repro.service.batch import BatchQueryEngine
 from repro.service.cache import QueryResultCache
-from repro.service.sharded import ShardedHybridIndex
+from repro.service.sharded import ShardedHybridIndex, default_fanout_width
 from repro.service.stats import ServiceStats
 from repro.sketches.registry import get_estimator
+from repro.utils.rng import spawn_rngs
 from repro.utils.validation import check_matrix, check_positive_int
 
 __all__ = ["Index", "ServiceStats"]
@@ -128,25 +129,6 @@ def _resolve_family_and_k(spec: IndexSpec, dim: int, seed: Any = None) -> tuple[
     return family, k
 
 
-def _spec_is_shard_customised(spec: IndexSpec) -> bool:
-    """Whether a sharded build needs the spec-driven per-shard factory.
-
-    The paper-preset fields route through :class:`HybridLSH` directly
-    (identical draws to the legacy constructor); anything beyond them —
-    named family, explicit ``k``/width/params, lazy threshold, sketch
-    seed — builds each shard through :func:`_build_single_index`.
-    """
-    return bool(
-        spec.k is not None
-        or spec.hash_family is not None
-        or spec.bucket_width is not None
-        or spec.family_params
-        or spec.lazy_threshold is not None
-        or spec.hll_seed
-        or spec.variant != "plain"
-    )
-
-
 def _build_single_index(spec: IndexSpec, points: np.ndarray, seed: Any, freeze: bool) -> Any:
     """Build one (possibly customised) index as the spec describes it.
 
@@ -190,23 +172,55 @@ def _build_single_index(spec: IndexSpec, points: np.ndarray, seed: Any, freeze: 
     return index
 
 
-def _custom_shard_factory(
-    spec: IndexSpec, cost_model: CostModel, estimator: Any
-) -> Callable[[np.ndarray, Any], HybridLSH]:
-    """``factory(shard_points, rng) -> HybridLSH`` for customised shards.
+def _serving_engine(spec: IndexSpec, index: Any, cost_model: CostModel) -> BatchQueryEngine:
+    """Serve one built or reopened index as a shard engine.
 
-    Mirrors the single-index build path per shard, with the shard's
-    spawned randomness driving the family draw; freezing (when the spec
-    asks for it) stays in :class:`ShardedHybridIndex`'s build step.
+    The one place an index meets Algorithm 2: a
+    :class:`~repro.core.hybrid.HybridSearcher` with the spec's
+    ``candSize`` estimator, batched with the spec's default radius and
+    dedup.  Builds, reopened artifacts and shard servers all wrap their
+    indexes here.
     """
+    searcher = HybridSearcher(index, cost_model, estimator=_resolve_estimator(spec))
+    return BatchQueryEngine(searcher, radius=spec.radius, dedup=spec.dedup)
 
-    def factory(shard_points: np.ndarray, rng: Any) -> HybridLSH:
-        index = _build_single_index(spec, shard_points, seed=rng, freeze=False)
-        return HybridLSH.from_index(
-            index, spec.radius, cost_model, delta=spec.delta, estimator=estimator
+
+def _build_engine(
+    spec: IndexSpec, points: np.ndarray, cost_model: CostModel
+) -> BatchQueryEngine | ShardedHybridIndex:
+    """Build the in-process engine: one index, or ``K`` thread shards.
+
+    Every shard is built by :func:`_build_single_index`.  A sharded
+    build splits the rows round-robin — shard ``s`` owns global rows
+    ``s, s+K, s+2K, …``, balanced to within one point, so insert routing
+    stays trivial — draws each shard's hash family from its own spawned
+    stream, and builds the shards in parallel (index construction is
+    dominated by numpy kernels that release the GIL).
+    """
+    freeze = spec.layout == "frozen"
+    num_shards = spec.num_shards
+    if num_shards == 1:
+        index = _build_single_index(spec, points, seed=spec.seed, freeze=freeze)
+        return _serving_engine(spec, index, cost_model)
+    n = points.shape[0]
+    if num_shards > n:
+        raise ConfigurationError(
+            f"num_shards ({num_shards}) must not exceed the dataset size ({n})"
         )
+    shard_gids = [np.arange(s, n, num_shards, dtype=np.int64) for s in range(num_shards)]
+    shard_rngs = spawn_rngs(spec.seed, num_shards)
 
-    return factory
+    def build_shard(s: int) -> BatchQueryEngine:
+        index = _build_single_index(
+            spec, points[shard_gids[s]], seed=shard_rngs[s], freeze=freeze
+        )
+        return _serving_engine(spec, index, cost_model)
+
+    with ThreadPoolExecutor(
+        max_workers=default_fanout_width(num_shards), thread_name_prefix="repro-shard"
+    ) as pool:
+        shards = list(pool.map(build_shard, range(num_shards)))
+    return ShardedHybridIndex(shards, shard_gids, next_shard=n % num_shards)
 
 
 class Index:
@@ -290,36 +304,7 @@ class Index:
                     f"specs only; this spec has execution={spec.execution!r}"
                 )
         points = check_matrix(points, name="points")
-        cost_model = _resolve_cost_model(spec, points)
-        estimator = _resolve_estimator(spec)
-        engine: BatchQueryEngine | ShardedHybridIndex
-        if spec.num_shards > 1:
-            factory = (
-                _custom_shard_factory(spec, cost_model, estimator)
-                if _spec_is_shard_customised(spec)
-                else None
-            )
-            engine = ShardedHybridIndex(
-                points,
-                metric=spec.metric,
-                radius=spec.radius,
-                num_shards=spec.num_shards,
-                num_tables=spec.num_tables,
-                delta=spec.delta,
-                hll_precision=spec.hll_precision,
-                cost_model=cost_model,
-                seed=spec.seed,
-                estimator=estimator,
-                dedup=spec.dedup,
-                layout=spec.layout,
-                index_factory=factory,
-            )
-        else:
-            index = _build_single_index(
-                spec, points, seed=spec.seed, freeze=spec.layout == "frozen"
-            )
-            searcher = HybridSearcher(index, cost_model, estimator=estimator)
-            engine = BatchQueryEngine(searcher, radius=spec.radius, dedup=spec.dedup)
+        engine = _build_engine(spec, points, _resolve_cost_model(spec, points))
         built = cls(engine, spec=spec, cache=_cache_from_spec(spec))
         if spec.execution == "processes":
             return _as_process_pool(
@@ -631,15 +616,12 @@ class Index:
 
     def _profile_points(self) -> np.ndarray | None:
         """A point sample reachable in-process (None for worker pools)."""
-        engine = self._engine
-        index = getattr(engine, "index", None)
-        if index is not None:  # BatchQueryEngine
-            return cast("np.ndarray", index.points)
-        shards = getattr(engine, "shards", None)
-        if shards:  # ShardedHybridIndex: round-robin partition, so any
-            # one shard is an unbiased sample of the dataset.
-            return cast("np.ndarray", shards[0].index.points)
-        return None
+        shards = getattr(self._engine, "shards", None)
+        if not shards:
+            return None
+        # Shards partition the rows round-robin, so any one shard is an
+        # unbiased sample of the dataset.
+        return cast("np.ndarray", shards[0].index.points)
 
     def _distance_profile(self) -> DistanceProfile | None:
         """Lazily measured distance profile for radius-from-k estimation.
@@ -927,8 +909,7 @@ def _cache_from_spec(spec: IndexSpec) -> QueryResultCache | None:
 
 def _frozen_indexes_of(engine: Any) -> list[Any]:
     """Frozen indexes reachable in-process from ``engine`` (may be [])."""
-    shard_engines = getattr(engine, "_engines", None) or [engine]
-    candidates = [getattr(eng, "index", None) for eng in shard_engines]
+    candidates = [shard.index for shard in getattr(engine, "shards", ())]
     # Duck-typed so both FrozenLSHIndex and the frozen covering layout
     # qualify; a worker pool has no in-process indexes (its workers ship
     # these gauges back through the ``stats`` op instead).

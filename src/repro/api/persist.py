@@ -31,12 +31,10 @@ import numpy as np
 
 from repro.api.spec import IndexSpec
 from repro.core.cost_model import CostModel
-from repro.core.hybrid import HybridLSH, HybridSearcher
 from repro.exceptions import ConfigurationError, CorruptArtifactError, ReproError
 from repro.index.frozen import FrozenLSHIndex, load_frozen_index, save_frozen_index
 from repro.index.serialize import load_index as _load_shard
 from repro.index.serialize import save_index as _save_shard
-from repro.service.batch import BatchQueryEngine
 from repro.service.sharded import ShardedHybridIndex
 from repro.utils.fsio import write_json_atomic
 
@@ -100,6 +98,28 @@ def write_shard_gids(path: str, shard_gids: list[np.ndarray]) -> None:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
+
+
+def read_shard_gids(path: str, num_shards: int) -> list[np.ndarray]:
+    """Read the per-shard global-id maps written by :func:`write_shard_gids`.
+
+    A missing, torn or truncated archive raises
+    :class:`~repro.exceptions.CorruptArtifactError`.
+    """
+    gids_path = os.path.join(path, _GIDS_FILE)
+    try:
+        # Opened here, not by np.load: numpy leaks its own handle when a
+        # torn archive makes the zip reader raise.
+        with open(gids_path, "rb") as fh, np.load(fh, allow_pickle=False) as archive:
+            return [
+                np.asarray(archive[f"gids_{s:03d}"], dtype=np.int64)
+                for s in range(num_shards)
+            ]
+    except Exception as exc:
+        raise CorruptArtifactError(
+            f"shard id map {gids_path!r} is unreadable ({exc}); "
+            "the artifact is truncated or corrupt"
+        ) from exc
 
 
 def _read_meta(meta_path: str) -> dict[str, Any]:
@@ -213,7 +233,7 @@ def open_index(
     worker processes — one ``"host:port,host:port"`` replica group per
     worker slot.
     """
-    from repro.api.facade import Index, _cache_from_spec, _resolve_estimator
+    from repro.api.facade import Index, _cache_from_spec, _serving_engine
 
     meta_path = os.path.join(path, _META_FILE)
     if not os.path.exists(meta_path):
@@ -253,10 +273,8 @@ def open_index(
     cost_model = CostModel(
         alpha=float(meta["cost_model"]["alpha"]), beta=float(meta["cost_model"]["beta"])
     )
-    estimator = _resolve_estimator(spec)
     num_shards = int(meta["num_shards"])
     layout = meta.get("layout", "dict")
-    engine: BatchQueryEngine | ShardedHybridIndex
     try:
         shard_indexes = [
             _load_shard_any(path, s, layout) for s in range(num_shards)
@@ -268,34 +286,12 @@ def open_index(
             f"saved index at {path!r} has unreadable shard data ({exc}); "
             "the artifact is truncated or corrupt"
         ) from exc
+    shards = [_serving_engine(spec, idx, cost_model) for idx in shard_indexes]
+    engine: Any = shards[0]
     if num_shards > 1:
-        gids_path = os.path.join(path, _GIDS_FILE)
-        try:
-            # Opened here, not by np.load: numpy leaks its own handle
-            # when a torn archive makes the zip reader raise.
-            with open(gids_path, "rb") as fh, np.load(fh, allow_pickle=False) as archive:
-                shard_gids = [archive[f"gids_{s:03d}"] for s in range(num_shards)]
-        except Exception as exc:
-            raise CorruptArtifactError(
-                f"shard id map {gids_path!r} is unreadable ({exc}); "
-                "the artifact is truncated or corrupt"
-            ) from exc
-        shards = [
-            HybridLSH.from_index(
-                idx, spec.radius, cost_model, delta=spec.delta, estimator=estimator
-            )
-            for idx in shard_indexes
-        ]
-        engine = ShardedHybridIndex.from_state(
+        engine = ShardedHybridIndex(
             shards,
-            shard_gids,
-            metric=spec.metric,
-            radius=spec.radius,
-            cost_model=cost_model,
+            read_shard_gids(path, num_shards),
             next_shard=int(meta.get("next_shard", 0)),
-            dedup=spec.dedup,
         )
-    else:
-        searcher = HybridSearcher(shard_indexes[0], cost_model, estimator=estimator)
-        engine = BatchQueryEngine(searcher, radius=spec.radius, dedup=spec.dedup)
     return Index(engine, spec=spec, cache=_cache_from_spec(spec))

@@ -12,15 +12,15 @@ Layered as:
   points);
 * :class:`HybridSearcher` — Algorithm 2: estimate ``LSHCost`` from the
   exact ``#collisions`` and the HLL-estimated ``candSize``, compare
-  with ``LinearCost``, and dispatch to the cheaper strategy;
-* :class:`HybridLSH` — the one-call public facade that picks the LSH
-  family for a metric, applies the paper's parameter rules, builds the
-  sketched index, calibrates the cost model, and answers queries.
+  with ``LinearCost``, and dispatch to the cheaper strategy.
+
+Building a sketched index with the paper's parameter rules and serving
+it is the job of the :class:`repro.api.Index` front door.
 """
 
 from repro.core.calibration import CalibrationReport, calibrate_cost_model
 from repro.core.cost_model import CostModel
-from repro.core.hybrid import HybridLSH, HybridSearcher
+from repro.core.hybrid import HybridSearcher
 from repro.core.linear_scan import LinearScan
 from repro.core.lsh_search import LSHSearch
 from repro.core.presets import PaperParameters, paper_parameters
@@ -30,7 +30,6 @@ __all__ = [
     "LinearScan",
     "LSHSearch",
     "HybridSearcher",
-    "HybridLSH",
     "CostModel",
     "CalibrationReport",
     "calibrate_cost_model",

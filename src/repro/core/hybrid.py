@@ -1,4 +1,4 @@
-"""Hybrid search — Algorithm 2 of the paper, and the public facade.
+"""Hybrid search — Algorithm 2 of the paper.
 
 Per query the hybrid strategy:
 
@@ -17,10 +17,8 @@ better of the two pure strategies — and on mixtures of easy and hard
 queries it beats both, which is the paper's headline result.
 
 :class:`HybridSearcher` works on any built sketched index (including
-:class:`~repro.index.multiprobe_index.MultiProbeLSHIndex`).
-:class:`HybridLSH` is the one-call facade: pick the family for the
-metric, apply the paper's parameter presets, build the index, calibrate
-the cost model, answer queries.
+:class:`~repro.index.multiprobe_index.MultiProbeLSHIndex`); building
+that index from a spec is :meth:`repro.api.Index.build`'s job.
 """
 
 from __future__ import annotations
@@ -28,18 +26,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.adaptive import AdaptivePolicy
-from repro.core.calibration import calibrate_cost_model
 from repro.core.cost_model import CostModel
 from repro.core.linear_scan import LinearScan
 from repro.core.lsh_search import LSHSearch
-from repro.core.presets import paper_parameters
 from repro.core.results import QueryResult, QueryStats, Strategy
 from repro.index.lsh_index import LSHIndex
 from repro.observability import StageTrace, stage_timer
-from repro.utils.rng import RandomState
 from repro.utils.validation import check_positive, check_vector
 
-__all__ = ["HybridSearcher", "HybridLSH"]
+__all__ = ["HybridSearcher"]
 
 
 class HybridSearcher:
@@ -319,149 +314,3 @@ class HybridSearcher:
     def __repr__(self) -> str:
         return f"HybridSearcher(index={self.index!r}, cost_model={self.cost_model!r})"
 
-
-class HybridLSH:
-    """Facade: build a paper-configured hybrid rNNR searcher in one call.
-
-    Parameters
-    ----------
-    points:
-        ``(n, d)`` data matrix.
-    metric:
-        ``"l2"``, ``"l1"``, ``"cosine"``, ``"hamming"`` or ``"jaccard"``.
-    radius:
-        The radius the index parameters are tuned for (queries may pass
-        a different radius, but the ``1 - delta`` guarantee is stated
-        at this one).
-    num_tables / delta / hll_precision:
-        Paper defaults 50 / 0.1 / 7 (= 128 registers).
-    cost_model:
-        Pass a :class:`~repro.core.cost_model.CostModel` (e.g. built
-        via :meth:`CostModel.from_ratio` with the paper's ratios) to
-        skip timing-based calibration; ``None`` runs
-        :func:`~repro.core.calibration.calibrate_cost_model`.
-    seed:
-        Master randomness (family sampling + calibration sampling).
-
-    Examples
-    --------
-    >>> import numpy as np
-    >>> rng = np.random.default_rng(7)
-    >>> points = rng.normal(size=(1000, 24))
-    >>> hybrid = HybridLSH(points, metric="l2", radius=2.0,
-    ...                    cost_model=CostModel.from_ratio(6.0), seed=1)
-    >>> result = hybrid.query(points[3])
-    >>> 3 in result.ids
-    True
-    """
-
-    def __init__(
-        self,
-        points: np.ndarray,
-        metric: str,
-        radius: float,
-        num_tables: int = 50,
-        delta: float = 0.1,
-        hll_precision: int = 7,
-        cost_model: CostModel | None = None,
-        lazy_threshold: int | None = None,
-        seed: RandomState = None,
-        estimator=None,
-    ) -> None:
-        points = np.asarray(points)
-        params = paper_parameters(
-            metric,
-            dim=points.shape[1],
-            radius=radius,
-            num_tables=num_tables,
-            delta=delta,
-            seed=seed,
-        )
-        self.params = params
-        self.radius = float(radius)
-        self.index = LSHIndex(
-            params.family,
-            k=params.k,
-            num_tables=params.num_tables,
-            hll_precision=hll_precision,
-            lazy_threshold=lazy_threshold,
-        ).build(points)
-        if cost_model is None:
-            cost_model = calibrate_cost_model(points, params.family.metric, seed=seed).model
-        self.searcher = HybridSearcher(self.index, cost_model, estimator=estimator)
-
-    @classmethod
-    def from_index(
-        cls,
-        index: LSHIndex,
-        radius: float,
-        cost_model: CostModel,
-        delta: float = 0.1,
-        estimator=None,
-    ) -> HybridLSH:
-        """Wrap an already-built index (e.g. one loaded from disk).
-
-        Skips parameter derivation and construction entirely — the
-        index's own family, ``k`` and ``L`` are taken as-is, so a
-        persisted index reopened through here answers bit-identically
-        to the instance that saved it.
-        """
-        from repro.core.presets import PaperParameters
-
-        self = cls.__new__(cls)
-        self.params = PaperParameters(
-            family=index.family,
-            # The covering variant has no uniform composite width; its
-            # per-table widths follow the block partition.
-            k=getattr(index, "k", 0),
-            num_tables=index.num_tables,
-            p1=index.family.collision_probability(radius),
-            radius=float(radius),
-            delta=float(delta),
-        )
-        self.radius = float(radius)
-        self.index = index
-        self.searcher = HybridSearcher(index, cost_model, estimator=estimator)
-        return self
-
-    def freeze(self, refreeze_threshold: int | None = None) -> HybridLSH:
-        """Compact the underlying index into the frozen CSR layout.
-
-        Replaces ``self.index`` with its
-        :class:`~repro.index.frozen.FrozenLSHIndex` (bit-identical
-        answers, vectorised batch primitives) and rewires the searcher.
-        Returns ``self`` for chaining.
-        """
-        self.index = self.index.freeze(refreeze_threshold=refreeze_threshold)
-        self.searcher = HybridSearcher(
-            self.index, self.searcher.cost_model, estimator=self.searcher.estimator
-        )
-        return self
-
-    @property
-    def cost_model(self) -> CostModel:
-        """The cost model driving the per-query dispatch."""
-        return self.searcher.cost_model
-
-    def query(self, query: np.ndarray, radius: float | None = None) -> QueryResult:
-        """Answer one query; defaults to the tuned radius."""
-        return self.searcher.query(query, self.radius if radius is None else radius)
-
-    def query_batch(
-        self,
-        queries: np.ndarray,
-        radius: float | None = None,
-        adaptive: AdaptivePolicy | None = None,
-    ) -> list[QueryResult]:
-        """Answer a query set (one result per row, batched Step S1)."""
-        return self.searcher.query_batch(
-            np.asarray(queries),
-            self.radius if radius is None else radius,
-            adaptive=adaptive,
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"HybridLSH(metric={self.params.family.metric_name}, r={self.radius}, "
-            f"k={self.params.k}, L={self.params.num_tables})"
-        )

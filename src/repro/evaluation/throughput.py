@@ -59,16 +59,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.api.outcome import QueryOutcome
-from repro.api.spec import QuerySpec
+from repro.api.spec import IndexSpec, QuerySpec
 from repro.core.cost_model import CostModel
-from repro.core.hybrid import HybridLSH
 from repro.core.results import QueryResult, Strategy
 from repro.datasets.queries import split_queries
 from repro.datasets.synthetic import gaussian_mixture
 from repro.evaluation.report import format_table
 from repro.observability import LatencyHistogram
-from repro.service.batch import BatchQueryEngine
-from repro.service.sharded import ShardedHybridIndex
 from repro.utils.rng import RandomState, ensure_rng
 
 __all__ = [
@@ -234,7 +231,7 @@ def throughput_experiment(
     num_shards: int = 4,
     cost_model: CostModel | None = None,
     repeats: int = 1,
-    seed: RandomState = 0,
+    seed: int | None = 0,
     include_workers: bool = False,
     num_workers: int | None = None,
     include_multiprobe: bool = False,
@@ -289,37 +286,37 @@ def throughput_experiment(
     num_queries = queries.shape[0]
 
     from repro.api import Index
-    from repro.core.hybrid import HybridSearcher
+    from repro.api.facade import _serving_engine
 
-    hybrid = HybridLSH(
-        points, metric=metric, radius=radius, num_tables=num_tables,
-        cost_model=cost_model, seed=seed,
+    # Every row is spec-built through the facade (what a deployment
+    # calls) with the one shared cost ratio and seed.
+    spec = IndexSpec(
+        metric=metric,
+        radius=radius,
+        num_tables=num_tables,
+        cost_ratio=float(cost_model.beta_over_alpha),
+        seed=seed,
     )
-    engine = BatchQueryEngine(hybrid.searcher, radius=radius)
+    batched_front = Index.build(points, spec)
+    engine = batched_front.engine
+    searcher = engine.searcher
     # Freezing the *same* built index isolates the layout effect: the
     # hash draws, buckets, and sketches are identical by construction.
-    frozen_engine = BatchQueryEngine(
-        HybridSearcher(hybrid.index.freeze(), cost_model), radius=radius
+    frozen_front = Index.from_engine(
+        _serving_engine(spec, engine.index.freeze(), searcher.cost_model)
     )
-    sharded = ShardedHybridIndex(
-        points, metric=metric, radius=radius, num_shards=num_shards,
-        num_tables=num_tables, cost_model=cost_model, seed=seed,
-    )
-    # The serving rows go through the public facade (what a deployment
-    # calls); it delegates to the engines above, bit-identically.
-    batched_front = Index.from_engine(engine)
-    frozen_front = Index.from_engine(frozen_engine)
-    sharded_front = Index.from_engine(sharded)
+    sharded_front = Index.build(points, spec.with_overrides(num_shards=num_shards))
+    sharded = sharded_front.engine
 
     # Warm every path once (BLAS thread pools, lazy imports) before timing.
     warm = queries[:2]
-    [hybrid.searcher.query(q, radius) for q in warm]
+    [searcher.query(q, radius) for q in warm]
     _ask(batched_front, warm, radius)
     _ask(frozen_front, warm, radius)
     _ask(sharded_front, warm, radius)
 
     seq_seconds, seq_results = _time_best(
-        lambda: [hybrid.searcher.query(q, radius) for q in queries], repeats
+        lambda: [searcher.query(q, radius) for q in queries], repeats
     )
     bat_seconds, bat_results = _time_best(
         lambda: _ask(batched_front, queries, radius), repeats
@@ -346,7 +343,7 @@ def throughput_experiment(
     )
     sh_reference = [sharded.query(q, radius) for q in queries]
 
-    seq_latency = _latency_pass(lambda q: hybrid.searcher.query(q, radius), queries)
+    seq_latency = _latency_pass(lambda q: searcher.query(q, radius), queries)
     bat_latency = _latency_pass(lambda q: _ask(batched_front, q[None, :], radius), queries)
     fz_latency = _latency_pass(lambda q: _ask(frozen_front, q[None, :], radius), queries)
     sh_latency = _latency_pass(lambda q: _ask(sharded_front, q[None, :], radius), queries)
@@ -361,16 +358,12 @@ def throughput_experiment(
         wk_seconds, wk_results, wk_latency = _measure_workers(
             points,
             queries,
-            metric=metric,
-            radius=radius,
-            num_tables=num_tables,
-            num_shards=num_shards,
-            cost_model=cost_model,
-            seed=seed,
+            spec.with_overrides(num_shards=num_shards),
             repeats=repeats,
             num_workers=num_workers,
             allow_partial=allow_partial,
         )
+    sharded_front.close()
 
     def row(
         mode: str,
@@ -447,12 +440,7 @@ def throughput_experiment(
             _measure_multiprobe(
                 points,
                 queries,
-                metric=metric,
-                radius=radius,
-                num_tables=num_tables,
-                num_probes=num_probes,
-                cost_model=cost_model,
-                seed=seed,
+                spec.with_overrides(variant="multiprobe", num_probes=num_probes),
                 repeats=repeats,
             )
         )
@@ -461,12 +449,9 @@ def throughput_experiment(
             _measure_adaptive(
                 points,
                 queries,
-                metric=metric,
-                radius=radius,
-                num_tables=num_tables,
-                num_probes=num_probes,
-                cost_model=cost_model,
-                seed=seed,
+                spec.with_overrides(
+                    layout="frozen", variant="multiprobe", num_probes=num_probes
+                ),
                 repeats=repeats,
                 adaptive_target=adaptive_target,
             )
@@ -477,41 +462,24 @@ def throughput_experiment(
 def _measure_multiprobe(
     points: np.ndarray,
     queries: np.ndarray,
-    metric: str,
-    radius: float,
-    num_tables: int,
-    num_probes: int,
-    cost_model: CostModel,
-    seed: RandomState,
+    spec: IndexSpec,
     repeats: int,
 ) -> list[ThroughputRow]:
     """The multi-probe serving rows (dict sequential vs frozen batch).
 
-    One :class:`~repro.index.multiprobe_index.MultiProbeLSHIndex` is
-    built with the paper presets; freezing the *same* built index
-    isolates the layout effect exactly as the plain-index rows do.
-    Both rows report their speedup relative to the multi-probe
-    sequential loop.
+    One multi-probe index is spec-built with the paper presets; freezing
+    the *same* built index isolates the layout effect exactly as the
+    plain-index rows do.  Both rows report their speedup relative to the
+    multi-probe sequential loop.
     """
     from repro.api import Index
-    from repro.core.hybrid import HybridSearcher
-    from repro.core.presets import paper_parameters
-    from repro.index.multiprobe_index import MultiProbeLSHIndex
+    from repro.api.facade import _serving_engine
 
-    params = paper_parameters(
-        metric, dim=points.shape[1], radius=radius, num_tables=num_tables, seed=seed
-    )
-    mp_index = MultiProbeLSHIndex(
-        params.family,
-        k=params.k,
-        num_tables=params.num_tables,
-        num_probes=num_probes,
-    ).build(points)
-    mp_searcher = HybridSearcher(mp_index, cost_model)
+    radius = spec.radius
+    mp_engine = Index.build(points, spec).engine
+    mp_searcher = mp_engine.searcher
     frozen_front = Index.from_engine(
-        BatchQueryEngine(
-            HybridSearcher(mp_index.freeze(), cost_model), radius=radius
-        )
+        _serving_engine(spec, mp_engine.index.freeze(), mp_searcher.cost_model)
     )
     warm = queries[:2]
     [mp_searcher.query(q, radius) for q in warm]
@@ -566,12 +534,7 @@ def _measure_multiprobe(
 def _measure_adaptive(
     points: np.ndarray,
     queries: np.ndarray,
-    metric: str,
-    radius: float,
-    num_tables: int,
-    num_probes: int,
-    cost_model: CostModel,
-    seed: RandomState,
+    spec: IndexSpec,
     repeats: int,
     adaptive_target: int | None = None,
 ) -> list[ThroughputRow]:
@@ -585,26 +548,16 @@ def _measure_adaptive(
     brute-force radius ground truth — the "fewer candidates at equal
     recall" claim the adaptive layer makes, measured rather than assumed.
     """
-    from repro.api import Index, IndexSpec, QuerySpec
+    from repro.api import Index, QuerySpec
     from repro.distances.matrix import pairwise_distances
 
     n = points.shape[0]
     if adaptive_target is None:
         adaptive_target = max(32, n // 100)
-    base = dict(
-        metric=metric,
-        radius=radius,
-        num_tables=num_tables,
-        layout="frozen",
-        variant="multiprobe",
-        num_probes=num_probes,
-        cost_ratio=float(cost_model.beta_over_alpha),
-        seed=seed if isinstance(seed, int) else 0,
-    )
-    fixed_front = Index.build(points, IndexSpec(**base))
+    fixed_front = Index.build(points, spec)
     budget_front = Index.build(
         points,
-        IndexSpec(**base, adaptive={"target_candidates": int(adaptive_target)}),
+        spec.with_overrides(adaptive={"target_candidates": int(adaptive_target)}),
     )
 
     warm = queries[:2]
@@ -622,7 +575,7 @@ def _measure_adaptive(
         lambda q: budget_front.query(QuerySpec(q)), queries
     )
 
-    truth = pairwise_distances(queries, points, metric) <= radius
+    truth = pairwise_distances(queries, points, spec.metric) <= spec.radius
 
     def mean_recall(outcomes) -> float:
         recalls = []
@@ -693,69 +646,40 @@ def _measure_adaptive(
 def _measure_workers(
     points: np.ndarray,
     queries: np.ndarray,
-    metric: str,
-    radius: float,
-    num_tables: int,
-    num_shards: int,
-    cost_model: CostModel,
-    seed: RandomState,
+    spec: IndexSpec,
     repeats: int,
     num_workers: int | None,
     allow_partial: bool = False,
 ) -> tuple[float, list[QueryResult], LatencyHistogram]:
-    """Build, persist and time the process-pool serving mode.
+    """Build and time the process-pool serving mode.
 
-    The frozen sharded index shares the thread row's seed and cost
-    model, is saved to a transient artifact, and reopened behind the
-    worker pool (``execution="processes"``); build, save and pool
+    The sharded row's spec, built with the frozen layout and served
+    through a worker pool (``execution="processes"``): the same seed and
+    cost ratio give the same per-shard hash draws.  Build, save and pool
     startup are excluded from the timing, like every other mode.
     ``allow_partial`` opts the timed queries into degraded answers; on
     a healthy pool the answers are unchanged, only the partial-result
     bookkeeping is charged.
     """
-    import shutil
-    import tempfile
+    from repro.api import Index
 
-    from repro.api import Index, IndexSpec
-
-    frozen_sharded = ShardedHybridIndex(
+    radius = spec.radius
+    workers_front = Index.build(
         points,
-        metric=metric,
-        radius=radius,
-        num_shards=num_shards,
-        num_tables=num_tables,
-        cost_model=cost_model,
-        seed=seed,
-        layout="frozen",
+        spec.with_overrides(layout="frozen", execution="processes"),
+        num_workers=num_workers,
     )
-    spec = IndexSpec(
-        metric=metric,
-        radius=radius,
-        num_tables=num_tables,
-        num_shards=num_shards,
-        layout="frozen",
-        execution="processes",
-        seed=seed if isinstance(seed, int) else None,
-    )
-    front = Index.from_engine(frozen_sharded, spec=spec)
-    path = tempfile.mkdtemp(prefix="repro-bench-workers-")
     try:
-        front.save(path)
-        front.close()
-        workers_front = Index.open(path, num_workers=num_workers)
-        try:
-            _ask(workers_front, queries[:2], radius, allow_partial)  # warm the pipes
-            seconds, results = _time_best(
-                lambda: _ask(workers_front, queries, radius, allow_partial), repeats
-            )
-            latency = _latency_pass(
-                lambda q: _ask(workers_front, q[None, :], radius, allow_partial), queries
-            )
-            return seconds, results, latency
-        finally:
-            workers_front.close()
+        _ask(workers_front, queries[:2], radius, allow_partial)  # warm the pipes
+        seconds, results = _time_best(
+            lambda: _ask(workers_front, queries, radius, allow_partial), repeats
+        )
+        latency = _latency_pass(
+            lambda q: _ask(workers_front, q[None, :], radius, allow_partial), queries
+        )
+        return seconds, results, latency
     finally:
-        shutil.rmtree(path, ignore_errors=True)
+        workers_front.close()
 
 
 def format_throughput(rows: list[ThroughputRow], title: str = "") -> str:

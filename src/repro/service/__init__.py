@@ -10,10 +10,11 @@ preserving the paper's semantics exactly:
   grouped distance-matrix pass for all linear-bound queries, and
   vectorised Step-S2 deduplication for the LSH-bound ones.  Results are
   bit-identical to looping :meth:`~repro.core.hybrid.HybridSearcher.query`.
-* :class:`ShardedHybridIndex` — partitions the dataset across ``K``
-  shards, builds per-shard hybrid indexes in parallel via
-  :mod:`concurrent.futures`, fans queries out, and merges per-shard
-  answers with exact radius (disjoint union) and top-k semantics.
+* :class:`ShardedHybridIndex` — ``K`` shard engines over a round-robin
+  partition of the dataset (built in parallel by
+  :meth:`repro.api.Index.build`); fans queries out on a thread pool and
+  merges per-shard answers with exact radius (disjoint union) and top-k
+  semantics.
 * :class:`QueryResultCache` — an LRU cache keyed on quantised query
   vectors (shard-tagged, so inserts evict only the touched shards'
   entries), for workloads with repeated or near-duplicate queries.

@@ -29,13 +29,12 @@ import numpy as np
 
 from repro.core.adaptive import AdaptivePolicy, CostModelTuner
 from repro.core.cost_model import CostModel
-from repro.core.hybrid import HybridLSH, HybridSearcher
+from repro.core.hybrid import HybridSearcher
 from repro.core.linear_scan import exact_topk_results
 from repro.core.results import QueryResult, Strategy
 from repro.distances.matrix import pairwise_distances
 from repro.exceptions import ConfigurationError
 from repro.observability import StageTrace, stage_timer
-from repro.utils.rng import RandomState
 
 __all__ = ["BatchQueryEngine"]
 
@@ -72,12 +71,11 @@ class BatchQueryEngine:
     Examples
     --------
     >>> import numpy as np
-    >>> from repro.core import CostModel
+    >>> from repro.api import Index, IndexSpec
     >>> rng = np.random.default_rng(0)
     >>> points = rng.normal(size=(500, 16))
-    >>> engine = BatchQueryEngine.from_points(
-    ...     points, metric="l2", radius=1.5,
-    ...     num_tables=8, cost_model=CostModel.from_ratio(6.0), seed=1)
+    >>> engine = Index.build(points, IndexSpec(
+    ...     metric="l2", radius=1.5, num_tables=8, cost_ratio=6.0, seed=1)).engine
     >>> results = engine.query_batch(points[:4])
     >>> [int(r.ids[0]) for r in results] == [0, 1, 2, 3]
     True
@@ -103,32 +101,6 @@ class BatchQueryEngine:
         # first batch whose AdaptivePolicy asks for it.
         self._tuner: CostModelTuner | None = None
 
-    @classmethod
-    def from_points(
-        cls,
-        points: np.ndarray,
-        metric: str,
-        radius: float,
-        num_tables: int = 50,
-        delta: float = 0.1,
-        hll_precision: int = 7,
-        cost_model: CostModel | None = None,
-        seed: RandomState = None,
-        dedup: str = "vectorized",
-    ) -> BatchQueryEngine:
-        """Build a paper-configured hybrid index and wrap it for serving."""
-        hybrid = HybridLSH(
-            points,
-            metric=metric,
-            radius=radius,
-            num_tables=num_tables,
-            delta=delta,
-            hll_precision=hll_precision,
-            cost_model=cost_model,
-            seed=seed,
-        )
-        return cls(hybrid.searcher, radius=radius, dedup=dedup)
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -141,6 +113,11 @@ class BatchQueryEngine:
     def cost_model(self) -> CostModel:
         """The cost model driving the per-query dispatch."""
         return self.searcher.cost_model
+
+    @property
+    def shards(self) -> list[BatchQueryEngine]:
+        """The in-process shard engines (like the thread fan-out's): itself."""
+        return [self]
 
     @property
     def n(self) -> int:

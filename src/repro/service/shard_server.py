@@ -265,25 +265,19 @@ def open_shard_state(path: str, shard_ids: list[int], spec_doc: dict,
     Lazy api-layer imports keep module load light (and keep ``spawn``
     start-method workers importable without the full facade).
     """
-    from repro.api.facade import _resolve_estimator
+    from repro.api.facade import _serving_engine
     from repro.api.spec import IndexSpec
-    from repro.core.hybrid import HybridSearcher
     from repro.index.frozen import load_frozen_index
-    from repro.service.batch import BatchQueryEngine
 
     spec = IndexSpec.from_dict(spec_doc)
     cost_model = CostModel(alpha=alpha, beta=beta)
-    estimator = _resolve_estimator(spec)
     metric = get_metric(spec.metric)
     indexes = {}
     engines = {}
     for s in shard_ids:
         index = load_frozen_index(_shard_dir(path, s))
-        searcher = HybridSearcher(index, cost_model, estimator=estimator)
         indexes[s] = index
-        engines[s] = BatchQueryEngine(
-            searcher, radius=spec.radius, dedup=spec.dedup
-        )
+        engines[s] = _serving_engine(spec, index, cost_model)
     # Worker-local telemetry: latency histogram + counters for the
     # batches *this* endpoint answers, a bytes counter for its wire
     # payloads, and live gauges over its frozen shards.  The parent

@@ -1,12 +1,11 @@
 """A sharded hybrid index: partition the data, fan out, merge exactly.
 
-:class:`ShardedHybridIndex` splits the dataset round-robin across ``K``
-disjoint shards and builds one paper-configured hybrid index per shard
-(in parallel, via :class:`concurrent.futures.ThreadPoolExecutor` —
-index construction is dominated by numpy kernels that release the GIL).
-Each shard runs Algorithm 2 independently, so the cost decision adapts
-to the *shard-local* density landscape, and each shard serves batches
-through its own :class:`~repro.service.batch.BatchQueryEngine`.
+:class:`ShardedHybridIndex` serves ``K`` disjoint shards behind one
+query interface.  :meth:`repro.api.Index.build` splits the dataset
+round-robin and builds every shard from the spec, in parallel; each
+shard is a :class:`~repro.service.batch.BatchQueryEngine` that runs
+Algorithm 2 independently, so the cost decision adapts to the
+*shard-local* density landscape.
 
 Merge semantics are exact because the shards partition the dataset:
 
@@ -33,17 +32,12 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from repro.core.calibration import calibrate_cost_model
-from repro.core.cost_model import CostModel
-from repro.core.hybrid import HybridLSH
 from repro.core.linear_scan import exact_topk_results
 from repro.core.results import QueryResult, QueryStats, Strategy
-from repro.distances import get_metric
 from repro.distances.matrix import pairwise_distances
 from repro.exceptions import ConfigurationError
 from repro.observability import StageTrace, stage_timer
 from repro.service.batch import BatchQueryEngine
-from repro.utils.rng import RandomState, spawn_rngs
 from repro.utils.validation import check_matrix, check_positive_int
 
 __all__ = ["ShardedHybridIndex", "default_fanout_width", "merge_radius_results"]
@@ -107,46 +101,33 @@ class ShardedHybridIndex:
 
     Parameters
     ----------
-    points:
-        ``(n, d)`` data matrix; row ``i`` keeps the global id ``i``.
-    metric:
-        Metric name (``"l2"``, ``"l1"``, ``"cosine"``, ``"hamming"``,
-        ``"jaccard"``).
-    radius:
-        Radius the per-shard indexes are tuned for (also the default
-        query radius).
-    num_shards:
-        ``K``; must not exceed ``n``.
-    num_tables / delta / hll_precision:
-        Per-shard index parameters (paper defaults).
-    cost_model:
-        Shared :class:`~repro.core.cost_model.CostModel`; ``None``
-        calibrates once on the full dataset (not per shard — alpha and
-        beta are hardware constants, not data constants).
+    shards:
+        One built (or reopened) :class:`~repro.service.batch.BatchQueryEngine`
+        per shard; the metric, dimensionality, default radius and cost
+        model are read from them.
+    shard_gids:
+        Global-id map per shard: local row ``j`` of shard ``s`` is the
+        point with global id ``shard_gids[s][j]``.
+    next_shard:
+        The shard the next inserted point is routed to.
     max_workers:
-        Thread-pool width for shard builds and query fan-out; the
-        default is ``min(K, os.cpu_count())`` — more threads than cores
-        only adds scheduling overhead for CPU-bound shard work.
-    index_factory:
-        Optional ``factory(shard_points, rng) -> HybridLSH`` used to
-        build each shard instead of the paper-preset construction
-        (spec-driven custom families/parameters route through this).
-    layout:
-        ``"dict"`` (default) keeps the mutable bucket layout;
-        ``"frozen"`` compacts every shard's index into the CSR layout
-        (:meth:`~repro.index.lsh_index.LSHIndex.freeze`) after build.
-    seed:
-        Master randomness; per-shard family draws use spawned streams.
+        Thread-pool width for the query fan-out; the default is
+        ``min(K, os.cpu_count())`` — more threads than cores only adds
+        scheduling overhead for CPU-bound shard work.
+
+    :meth:`repro.api.Index.build` builds the shards (``num_shards > 1``)
+    and :meth:`repro.api.Index.open` reopens them from disk; both hand
+    them here.
 
     Examples
     --------
     >>> import numpy as np
-    >>> from repro.core import CostModel
+    >>> from repro.api import Index, IndexSpec
     >>> rng = np.random.default_rng(0)
     >>> points = rng.normal(size=(600, 12))
-    >>> sharded = ShardedHybridIndex(
-    ...     points, metric="l2", radius=1.0, num_shards=3,
-    ...     num_tables=6, cost_model=CostModel.from_ratio(6.0), seed=1)
+    >>> sharded = Index.build(points, IndexSpec(
+    ...     metric="l2", radius=1.0, num_shards=3, num_tables=6,
+    ...     cost_ratio=6.0, seed=1)).engine
     >>> int(sharded.query(points[17]).ids[0])
     17
     """
@@ -155,115 +136,22 @@ class ShardedHybridIndex:
 
     def __init__(
         self,
-        points: np.ndarray,
-        metric: str,
-        radius: float,
-        num_shards: int = 4,
-        num_tables: int = 50,
-        delta: float = 0.1,
-        hll_precision: int = 7,
-        cost_model: CostModel | None = None,
-        max_workers: int | None = None,
-        seed: RandomState = None,
-        estimator=None,
-        dedup: str = "vectorized",
-        layout: str = "dict",
-        index_factory=None,
-    ) -> None:
-        points = check_matrix(points, name="points")
-        num_shards = check_positive_int(num_shards, "num_shards")
-        if layout not in ("dict", "frozen"):
-            raise ConfigurationError(
-                f'layout must be "dict" or "frozen", got {layout!r}'
-            )
-        n = points.shape[0]
-        if num_shards > n:
-            raise ConfigurationError(
-                f"num_shards ({num_shards}) must not exceed the dataset size ({n})"
-            )
-        self.metric_name = metric
-        self.metric = get_metric(metric)
-        self.radius = float(radius)
-        self.num_shards = num_shards
-        self._max_workers = (
-            max_workers if max_workers is not None else default_fanout_width(num_shards)
-        )
-        # Round-robin partition: shard s owns global rows s, s+K, s+2K, …
-        # (balanced to within one point, and insert routing stays trivial).
-        self._shard_gids = [
-            np.arange(s, n, num_shards, dtype=np.int64) for s in range(num_shards)
-        ]
-        self._next_shard = n % num_shards
-        if cost_model is None:
-            cost_model = calibrate_cost_model(points, self.metric, seed=seed).model
-        self.cost_model = cost_model
-        shard_rngs = spawn_rngs(seed, num_shards)
-
-        def build_shard(s: int) -> HybridLSH:
-            if index_factory is not None:
-                # Spec-driven custom builds (named family, explicit k,
-                # bucket width, lazy threshold, ...) route each shard
-                # through the caller's factory with its spawned stream.
-                hybrid = index_factory(points[self._shard_gids[s]], shard_rngs[s])
-            else:
-                hybrid = HybridLSH(
-                    points[self._shard_gids[s]],
-                    metric=metric,
-                    radius=radius,
-                    num_tables=num_tables,
-                    delta=delta,
-                    hll_precision=hll_precision,
-                    cost_model=cost_model,
-                    seed=shard_rngs[s],
-                    estimator=estimator,
-                )
-            if layout == "frozen":
-                hybrid.freeze()
-            return hybrid
-
-        # One persistent pool for builds and every later fan-out; a
-        # per-call pool would put K thread spawns on the serving hot
-        # path.  Threads are started lazily and reaped at interpreter
-        # exit; close() releases them earlier.
-        self._pool = ThreadPoolExecutor(
-            max_workers=self._max_workers, thread_name_prefix="repro-shard"
-        )
-        self.shards = list(self._pool.map(build_shard, range(num_shards)))
-        self._engines = [
-            BatchQueryEngine(shard.searcher, radius=radius, dedup=dedup)
-            for shard in self.shards
-        ]
-
-    @classmethod
-    def from_state(
-        cls,
-        shards: list[HybridLSH],
+        shards: list[BatchQueryEngine],
         shard_gids: list[np.ndarray],
-        metric: str,
-        radius: float,
-        cost_model: CostModel,
         next_shard: int = 0,
         max_workers: int | None = None,
-        dedup: str = "vectorized",
-    ) -> ShardedHybridIndex:
-        """Reassemble a sharded index from prebuilt per-shard searchers.
-
-        Persistence (:meth:`repro.api.Index.open`) loads each shard's
-        :class:`~repro.index.lsh_index.LSHIndex` from disk, wraps it via
-        :meth:`~repro.core.hybrid.HybridLSH.from_index`, and hands the
-        pieces here — no rehashing, so answers are bit-identical to the
-        instance that was saved.
-        """
+    ) -> None:
         if len(shards) != len(shard_gids) or not shards:
             raise ConfigurationError(
                 f"need matching non-empty shards/gid lists, got "
                 f"{len(shards)}/{len(shard_gids)}"
             )
-        self = cls.__new__(cls)
-        self.metric_name = metric
-        self.metric = get_metric(metric)
-        self.radius = float(radius)
-        self.num_shards = len(shards)
+        self.shards = list(shards)
+        first = self.shards[0]
+        self.metric = first.index.family.metric
+        self.radius = first.radius
+        self.cost_model = first.cost_model
+        self.num_shards = len(self.shards)
         self._max_workers = (
             max_workers
             if max_workers is not None
@@ -271,16 +159,13 @@ class ShardedHybridIndex:
         )
         self._shard_gids = [np.asarray(g, dtype=np.int64) for g in shard_gids]
         self._next_shard = int(next_shard) % self.num_shards
-        self.cost_model = cost_model
+        # One persistent pool for every fan-out; a per-call pool would
+        # put K thread spawns on the serving hot path.  Threads are
+        # started lazily and reaped at interpreter exit; close()
+        # releases them earlier.
         self._pool = ThreadPoolExecutor(
             max_workers=self._max_workers, thread_name_prefix="repro-shard"
         )
-        self.shards = list(shards)
-        self._engines = [
-            BatchQueryEngine(shard.searcher, radius=self.radius, dedup=dedup)
-            for shard in self.shards
-        ]
-        return self
 
     # ------------------------------------------------------------------
     # Introspection
@@ -300,13 +185,6 @@ class ShardedHybridIndex:
         """Dimensionality of the indexed points."""
         return self.shards[0].index.dim
 
-    def gather_points(self) -> np.ndarray:
-        """Reassemble the global ``(n, d)`` matrix (row ``i`` = id ``i``)."""
-        out = np.empty((self.n, self.dim), dtype=self.shards[0].index.points.dtype)
-        for gids, shard in zip(self._shard_gids, self.shards):
-            out[gids] = shard.index.points
-        return out
-
     def shard_sizes(self) -> list[int]:
         """Current per-shard point counts."""
         return [shard.index.n for shard in self.shards]
@@ -314,7 +192,7 @@ class ShardedHybridIndex:
     @property
     def recalibrations(self) -> int:
         """Completed cost-model updates summed over the shard engines."""
-        return sum(engine.recalibrations for engine in self._engines)
+        return sum(shard.recalibrations for shard in self.shards)
 
     def _resolve_radius(self, radius: float | None) -> float:
         return self.radius if radius is None else float(radius)
@@ -341,7 +219,7 @@ class ShardedHybridIndex:
         shards stay valid across inserts because the shard id maps only
         ever grow.
         """
-        return self._engines[shard].query_batch(queries, radius, adaptive=adaptive)
+        return self.shards[shard].query_batch(queries, radius, adaptive=adaptive)
 
     def merge_radius(
         self, shard_results: list[QueryResult], radius: float
@@ -395,7 +273,7 @@ class ShardedHybridIndex:
             [StageTrace() for _ in range(self.num_shards)] if trace is not None else None
         )
         per_shard = self._fan_out(
-            lambda s: self._engines[s].query_batch(
+            lambda s: self.shards[s].query_batch(
                 queries,
                 radius,
                 trace=None if shard_traces is None else shard_traces[s],
@@ -483,5 +361,5 @@ class ShardedHybridIndex:
     def __repr__(self) -> str:
         return (
             f"ShardedHybridIndex(K={self.num_shards}, n={self.n}, "
-            f"dim={self.dim}, metric={self.metric_name}, r={self.radius})"
+            f"dim={self.dim}, metric={self.metric.name}, r={self.radius})"
         )

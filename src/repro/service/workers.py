@@ -325,7 +325,7 @@ class WorkerPool:
         replicas: int | None = None,
         endpoints=None,
     ) -> None:
-        from repro.api.persist import _GIDS_FILE, _META_FILE, _read_meta
+        from repro.api.persist import _META_FILE, _read_meta, read_shard_gids
         from repro.api.spec import IndexSpec
 
         meta_path = os.path.join(path, _META_FILE)
@@ -354,23 +354,8 @@ class WorkerPool:
         )
         self.num_shards = int(meta["num_shards"])
         self._dim = int(meta["dim"])
-        gids_path = os.path.join(path, _GIDS_FILE)
         if self.num_shards > 1:
-            try:
-                # Opened here, not by np.load: numpy leaks its own handle
-                # when a torn archive makes the zip reader raise.
-                with open(gids_path, "rb") as fh, np.load(
-                    fh, allow_pickle=False
-                ) as archive:
-                    self._shard_gids = [
-                        np.asarray(archive[f"gids_{s:03d}"], dtype=np.int64)
-                        for s in range(self.num_shards)
-                    ]
-            except Exception as exc:
-                raise CorruptArtifactError(
-                    f"shard id map {gids_path!r} is unreadable ({exc}); "
-                    "the artifact is truncated or corrupt"
-                ) from exc
+            self._shard_gids = read_shard_gids(path, self.num_shards)
         else:
             self._shard_gids = [np.arange(int(meta["n"]), dtype=np.int64)]
         self._next_shard = int(meta.get("next_shard", 0)) % self.num_shards

@@ -1,7 +1,7 @@
 """Tests for the spec-driven Index facade.
 
 The facade's contract is delegation without deviation: answers must be
-bit-identical to the legacy engines it wraps, for every request shape
+bit-identical to the engines it wraps, for every request shape
 (radius / top-k / batch, single index / sharded), while adding the
 spec-driven construction, uniform query surface, per-shard cache
 invalidation, and plugin registries.
@@ -22,11 +22,11 @@ from repro.api import (
     register_estimator,
     register_family,
 )
-from repro.core import CostModel
-from repro.core.hybrid import HybridLSH
+from repro.core import CostModel, HybridSearcher, paper_parameters
 from repro.exceptions import ConfigurationError, DimensionMismatchError
-from repro.service.sharded import ShardedHybridIndex
+from repro.index import LSHIndex
 from repro.service.stream import serve_stream
+from repro.utils.rng import spawn_rngs
 
 
 def _spec(**overrides):
@@ -46,31 +46,43 @@ def sharded_index(gaussian_points) -> Index:
 
 
 class TestBuildParity:
-    def test_single_build_matches_legacy_hybrid(self, gaussian_points):
-        """Default spec == HybridLSH with the same seed, bit for bit."""
+    def test_default_spec_matches_paper_presets(self, gaussian_points):
+        """A default spec builds the paper-preset index, draw for draw."""
         index = Index.build(gaussian_points, _spec())
-        legacy = HybridLSH(
-            gaussian_points, metric="l2", radius=1.0, num_tables=6,
-            cost_model=CostModel.from_ratio(6.0), seed=1,
+        params = paper_parameters(
+            "l2", dim=gaussian_points.shape[1], radius=1.0, num_tables=6, seed=1
+        )
+        reference = HybridSearcher(
+            LSHIndex(params.family, k=params.k, num_tables=6).build(gaussian_points),
+            CostModel.from_ratio(6.0),
         )
         for qi in (0, 101, 599):
             a = index.query(QuerySpec(gaussian_points[qi]))
-            b = legacy.query(gaussian_points[qi])
+            b = reference.query(gaussian_points[qi], 1.0)
             assert np.array_equal(a.ids, b.ids)
             assert np.array_equal(a.distances, b.distances)
             assert a.stats.strategy == b.stats.strategy
 
-    def test_sharded_build_matches_legacy_sharded(self, gaussian_points):
+    def test_sharded_build_matches_paper_presets_per_shard(self, gaussian_points):
+        """Shard ``s`` is the paper-preset index over rows ``s, s+K, …``,
+        drawn from the ``s``-th stream spawned from the spec seed."""
         index = Index.build(gaussian_points, _spec(num_shards=3))
-        legacy = ShardedHybridIndex(
-            gaussian_points, metric="l2", radius=1.0, num_shards=3,
-            num_tables=6, cost_model=CostModel.from_ratio(6.0), seed=1,
-        )
-        a = index.query(QuerySpec(gaussian_points[:20]))
-        b = legacy.query_batch(gaussian_points[:20])
-        for x, y in zip(a, b):
-            assert np.array_equal(x.ids, y.ids)
-            assert np.array_equal(x.distances, y.distances)
+        n, dim = gaussian_points.shape
+        queries = gaussian_points[:20]
+        for s, (rng, shard) in enumerate(zip(spawn_rngs(1, 3), index.engine.shards)):
+            assert np.array_equal(index.engine._shard_gids[s], np.arange(s, n, 3))
+            params = paper_parameters("l2", dim=dim, radius=1.0, num_tables=6, seed=rng)
+            reference = HybridSearcher(
+                LSHIndex(params.family, k=params.k, num_tables=6).build(
+                    gaussian_points[s::3]
+                ),
+                CostModel.from_ratio(6.0),
+            )
+            for x, y in zip(shard.query_batch(queries), reference.query_batch(queries, 1.0)):
+                assert np.array_equal(x.ids, y.ids)
+                assert np.array_equal(x.distances, y.distances)
+                assert x.stats.strategy == y.stats.strategy
+        index.close()
 
     def test_build_accepts_raw_spec_document(self, gaussian_points):
         index = Index.build(
@@ -116,7 +128,7 @@ class TestBuildParity:
 
     def test_spec_dedup_reaches_sharded_engines(self, gaussian_points):
         index = Index.build(gaussian_points, _spec(num_shards=2, dedup="scalar"))
-        assert all(e.dedup == "scalar" for e in index.engine._engines)
+        assert all(e.dedup == "scalar" for e in index.engine.shards)
 
 
 class TestQuerySurface:
@@ -381,12 +393,7 @@ class TestStreamSpecOps:
 
     def test_spec_op_on_legacy_service_reports_error(self, gaussian_points):
         """An index wrapped around a bare engine carries no spec."""
-        from repro.service import BatchQueryEngine
-
-        engine = BatchQueryEngine.from_points(
-            gaussian_points, metric="l2", radius=1.0, num_tables=6,
-            cost_model=CostModel.from_ratio(6.0), seed=1,
-        )
+        engine = Index.build(gaussian_points, _spec()).engine
         service = Index.from_engine(engine)
         out = [
             json.loads(line)

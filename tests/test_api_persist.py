@@ -108,13 +108,9 @@ class TestErrors:
             Index.open(str(tmp_path / "nothing-here"))
 
     def test_legacy_wrapped_index_cannot_save(self, gaussian_points, tmp_path):
-        from repro.core import CostModel
-        from repro.service import BatchQueryEngine
-
-        engine = BatchQueryEngine.from_points(
-            gaussian_points, metric="l2", radius=1.0, num_tables=6,
-            cost_model=CostModel.from_ratio(6.0), seed=1,
-        )
+        engine = Index.build(gaussian_points, IndexSpec(
+            metric="l2", radius=1.0, num_tables=6, cost_ratio=6.0, seed=1
+        )).engine
         wrapped = Index.from_engine(engine)
         with pytest.raises(ConfigurationError):
             wrapped.save(str(tmp_path / "nope"))

@@ -281,6 +281,7 @@ class TestFrozenPersistence:
 
     def test_mixed_shard_layouts_rejected_before_writing(self, tmp_path):
         from repro.api import Index, IndexSpec
+        from repro.service import ShardedHybridIndex
 
         rng = np.random.default_rng(13)
         points = rng.normal(size=(200, 8))
@@ -288,14 +289,23 @@ class TestFrozenPersistence:
             points, IndexSpec(metric="l2", radius=1.0, num_tables=4,
                               num_shards=2, seed=1)
         )
-        index.engine.shards[0].freeze()
+        sharded = index.engine
+        frozen_first = BatchQueryEngine(
+            HybridSearcher(sharded.shards[0].index.freeze(), sharded.cost_model),
+            radius=sharded.radius,
+        )
+        mixed = Index.from_engine(
+            ShardedHybridIndex([frozen_first, sharded.shards[1]], sharded._shard_gids),
+            spec=index.spec,
+        )
         target = tmp_path / "mixed"
         with pytest.raises(ConfigurationError):
-            index.save(str(target))
+            mixed.save(str(target))
         # Nothing may have been written: a partial artifact next to a
         # stale index.json would poison a later open().
         assert not (target / "index.json").exists()
         assert not any(target.glob("shard_*"))
+        mixed.close()
         index.close()
 
     def test_mmap_loaded_index_accepts_inserts(self, tmp_path):

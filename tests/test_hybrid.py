@@ -1,11 +1,11 @@
-"""Tests for hybrid search (Algorithm 2) and the HybridLSH facade."""
+"""Tests for hybrid search (Algorithm 2) and building it through the facade."""
 
 import numpy as np
 import pytest
 
+from repro.api import Index, IndexSpec, QuerySpec
 from repro.core import (
     CostModel,
-    HybridLSH,
     HybridSearcher,
     LinearScan,
     LSHSearch,
@@ -97,74 +97,48 @@ class TestAnswers:
 
 
 class TestHybridLSHFacade:
+    """The paper's Hybrid LSH, built and served through ``Index.build``."""
+
     def test_end_to_end_l2(self, gaussian_points):
-        searcher = HybridLSH(
-            gaussian_points,
-            metric="l2",
-            radius=1.0,
-            num_tables=10,
-            cost_model=CostModel.from_ratio(6.0),
-            seed=3,
-        )
-        result = searcher.query(gaussian_points[0])
+        index = Index.build(gaussian_points, IndexSpec(
+            metric="l2", radius=1.0, num_tables=10, cost_ratio=6.0, seed=3
+        ))
+        result = index.query(QuerySpec(gaussian_points[0]))
         assert 0 in result.ids
         assert result.radius == 1.0
 
     def test_query_batch(self, gaussian_points):
-        searcher = HybridLSH(
-            gaussian_points,
-            metric="l2",
-            radius=1.0,
-            num_tables=6,
-            cost_model=CostModel.from_ratio(6.0),
-            seed=3,
-        )
-        results = searcher.query_batch(gaussian_points[:5])
+        index = Index.build(gaussian_points, IndexSpec(
+            metric="l2", radius=1.0, num_tables=6, cost_ratio=6.0, seed=3
+        ))
+        results = index.query(QuerySpec(gaussian_points[:5]))
         assert len(results) == 5
 
     def test_radius_override(self, gaussian_points):
-        searcher = HybridLSH(
-            gaussian_points,
-            metric="l2",
-            radius=1.0,
-            num_tables=6,
-            cost_model=CostModel.from_ratio(6.0),
-            seed=3,
-        )
-        assert searcher.query(gaussian_points[0], radius=0.4).radius == 0.4
+        index = Index.build(gaussian_points, IndexSpec(
+            metric="l2", radius=1.0, num_tables=6, cost_ratio=6.0, seed=3
+        ))
+        assert index.query(QuerySpec(gaussian_points[0], radius=0.4)).radius == 0.4
 
     def test_calibration_path(self, gaussian_points):
-        """cost_model=None triggers timing calibration and still works."""
-        searcher = HybridLSH(
-            gaussian_points[:200],
-            metric="l2",
-            radius=1.0,
-            num_tables=4,
-            seed=3,
-        )
-        assert searcher.cost_model.beta_over_alpha > 0
-        result = searcher.query(gaussian_points[0])
+        """cost_ratio=None triggers timing calibration and still works."""
+        index = Index.build(gaussian_points[:200], IndexSpec(
+            metric="l2", radius=1.0, num_tables=4, cost_ratio=None, seed=3
+        ))
+        assert index.cost_model.beta_over_alpha > 0
+        result = index.query(QuerySpec(gaussian_points[0]))
         assert result.output_size >= 1
 
     def test_binary_facade(self, binary_points):
-        searcher = HybridLSH(
-            binary_points,
-            metric="hamming",
-            radius=4.0,
-            num_tables=10,
-            cost_model=CostModel.from_ratio(1.0),
-            seed=2,
-        )
-        result = searcher.query(binary_points[0])
+        index = Index.build(binary_points, IndexSpec(
+            metric="hamming", radius=4.0, num_tables=10, cost_ratio=1.0, seed=2
+        ))
+        result = index.query(QuerySpec(binary_points[0]))
         assert 0 in result.ids
 
     def test_repr(self, gaussian_points):
-        searcher = HybridLSH(
-            gaussian_points,
-            metric="l2",
-            radius=1.0,
-            num_tables=4,
-            cost_model=CostModel.from_ratio(6.0),
-            seed=3,
-        )
-        assert "HybridLSH" in repr(searcher)
+        index = Index.build(gaussian_points, IndexSpec(
+            metric="l2", radius=1.0, num_tables=4, cost_ratio=6.0, seed=3
+        ))
+        assert "Index(" in repr(index)
+        assert "BatchQueryEngine(" in repr(index.engine)

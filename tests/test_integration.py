@@ -127,16 +127,15 @@ class TestDeltaGuaranteeAcrossFamilies:
 
 class TestSeededReproducibility:
     def test_full_pipeline_deterministic(self):
-        from repro.core import HybridLSH
+        from repro.api import Index, IndexSpec, QuerySpec
 
         rng = np.random.default_rng(0)
         points = rng.normal(size=(500, 16))
 
         def run():
-            searcher = HybridLSH(
-                points, metric="l2", radius=1.0, num_tables=8,
-                cost_model=CostModel.from_ratio(6.0), seed=42,
-            )
-            return [searcher.query(points[i]).ids.tolist() for i in range(5)]
+            index = Index.build(points, IndexSpec(
+                metric="l2", radius=1.0, num_tables=8, cost_ratio=6.0, seed=42
+            ))
+            return [index.query(QuerySpec(points[i])).ids.tolist() for i in range(5)]
 
         assert run() == run()

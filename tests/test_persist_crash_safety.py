@@ -131,12 +131,18 @@ class TestTornArtifacts:
         with pytest.raises(CorruptArtifactError):
             Index.open(saved)
 
-    def test_corrupt_gids_archive_raises_typed_error(self, saved):
+    @pytest.mark.parametrize(
+        "open_saved",
+        [Index.open, lambda path: WorkerPool(path, num_workers=1)],
+        ids=["threads", "processes"],
+    )
+    def test_corrupt_gids_archive_raises_typed_error(self, saved, open_saved):
+        """Both the thread path and the process pool read the id map."""
         gids_path = os.path.join(saved, "shard_gids.npz")
         with open(gids_path, "wb") as fh:
             fh.write(b"PK\x03\x04 torn")
         with pytest.raises(CorruptArtifactError):
-            Index.open(saved)
+            open_saved(saved)
         # A server cycling ``op: open`` over torn artifacts must not
         # leak the archive's file handle on each failed attempt.
         fds_before = len(os.listdir("/proc/self/fd"))
@@ -144,7 +150,7 @@ class TestTornArtifacts:
             warnings.simplefilter("always", ResourceWarning)
             for _ in range(5):
                 with pytest.raises(CorruptArtifactError):
-                    Index.open(saved)
+                    open_saved(saved)
             gc.collect()
         assert len(os.listdir("/proc/self/fd")) == fds_before
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]

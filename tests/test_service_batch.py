@@ -3,21 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.core import CostModel, HybridLSH, HybridSearcher, Strategy
+from repro.api import Index, IndexSpec
+from repro.core import CostModel, HybridSearcher, Strategy
 from repro.exceptions import ConfigurationError
 from repro.service import BatchQueryEngine
 
 
 @pytest.fixture
-def hybrid(gaussian_points) -> HybridLSH:
-    return HybridLSH(
-        gaussian_points,
-        metric="l2",
-        radius=1.2,
-        num_tables=8,
-        cost_model=CostModel.from_ratio(6.0),
-        seed=3,
-    )
+def hybrid(gaussian_points) -> BatchQueryEngine:
+    return Index.build(gaussian_points, IndexSpec(
+        metric="l2", radius=1.2, num_tables=8, cost_ratio=6.0, seed=3
+    )).engine
 
 
 def assert_results_identical(expected, actual):
@@ -70,15 +66,10 @@ class TestBatchEqualsSequential:
 
 
 class TestEngineSurface:
-    def test_from_points_and_single_query(self, gaussian_points):
-        engine = BatchQueryEngine.from_points(
-            gaussian_points,
-            metric="l2",
-            radius=1.0,
-            num_tables=6,
-            cost_model=CostModel.from_ratio(6.0),
-            seed=1,
-        )
+    def test_spec_built_engine_single_query(self, gaussian_points):
+        engine = Index.build(gaussian_points, IndexSpec(
+            metric="l2", radius=1.0, num_tables=6, cost_ratio=6.0, seed=1
+        )).engine
         result = engine.query(gaussian_points[11])
         assert 11 in result.ids
         assert engine.n == gaussian_points.shape[0]

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from repro.api import Index, IndexSpec, QuerySpec
-from repro.core import CostModel
 from repro.core.results import QueryResult
 from repro.exceptions import ConfigurationError
-from repro.service import BatchQueryEngine, QueryResultCache, serve_stream
+from repro.service import QueryResultCache, serve_stream
 
 
 def _dummy_result(ids=(1, 2)) -> QueryResult:
@@ -194,14 +193,9 @@ class TestServeStream:
     def test_missing_radius_yields_error_lines_not_a_dead_stream(self, gaussian_points):
         """Regression: an engine-level failure (no default radius) must
         produce per-line errors, not kill the generator mid-stream."""
-        engine = BatchQueryEngine.from_points(
-            gaussian_points,
-            metric="l2",
-            radius=1.0,
-            num_tables=6,
-            cost_model=CostModel.from_ratio(6.0),
-            seed=1,
-        )
+        engine = Index.build(gaussian_points, IndexSpec(
+            metric="l2", radius=1.0, num_tables=6, cost_ratio=6.0, seed=1
+        )).engine
         engine.radius = None  # serving without a default radius
         bare = Index.from_engine(engine)
         lines = [

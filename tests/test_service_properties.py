@@ -19,9 +19,8 @@ hypothesis = pytest.importorskip(
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import CostModel, HybridLSH
+from repro.api import Index, IndexSpec, QuerySpec
 from repro.distances.matrix import pairwise_distances
-from repro.service import BatchQueryEngine, ShardedHybridIndex
 from repro.sketches import HyperLogLog
 
 
@@ -49,16 +48,10 @@ class TestBatchEqualsSequential:
     @settings(max_examples=15, deadline=None)
     def test_engine_matches_query_loop(self, data, radius, ratio):
         points, queries, seed = data
-        hybrid = HybridLSH(
-            points,
-            metric="l2",
-            radius=radius,
-            num_tables=5,
-            cost_model=CostModel.from_ratio(ratio),
-            seed=seed,
-        )
-        engine = BatchQueryEngine(hybrid.searcher, radius=radius)
-        sequential = [hybrid.searcher.query(q, radius) for q in queries]
+        engine = Index.build(points, IndexSpec(
+            metric="l2", radius=radius, num_tables=5, cost_ratio=ratio, seed=seed
+        )).engine
+        sequential = [engine.searcher.query(q, radius) for q in queries]
         for exp, act in zip(sequential, engine.query_batch(queries)):
             assert np.array_equal(exp.ids, act.ids)
             assert np.array_equal(exp.distances, act.distances)
@@ -77,17 +70,12 @@ class TestShardedTopK:
         noise, ~1e-7 absolute near zero) when candidates are tied."""
         atol = 1e-5
         points, queries, seed = data
-        sharded = ShardedHybridIndex(
-            points,
-            metric="l2",
-            radius=1.0,
-            num_shards=num_shards,
-            num_tables=4,
-            cost_model=CostModel.from_ratio(6.0),
-            seed=seed,
-        )
+        sharded = Index.build(points, IndexSpec(
+            metric="l2", radius=1.0, num_shards=num_shards, num_tables=4,
+            cost_ratio=6.0, seed=seed,
+        ))
         for query in queries:
-            result = sharded.query_topk(query, k=k)
+            result = sharded.query(QuerySpec(query, k=k))
             distances = pairwise_distances(query, points, "l2")[0]
             order = np.lexsort((np.arange(points.shape[0]), distances))[:k]
             kth = distances[order][-1]
@@ -110,15 +98,9 @@ class TestHllMergeOnBatchPath:
     @settings(max_examples=10, deadline=None)
     def test_batch_merge_identical_to_single(self, data):
         points, queries, seed = data
-        hybrid = HybridLSH(
-            points,
-            metric="l2",
-            radius=1.0,
-            num_tables=5,
-            cost_model=CostModel.from_ratio(6.0),
-            seed=seed,
-        )
-        index = hybrid.index
+        index = Index.build(points, IndexSpec(
+            metric="l2", radius=1.0, num_tables=5, cost_ratio=6.0, seed=seed
+        )).engine.index
         lookups = index.lookup_batch(queries)
         for lookup, batched in zip(lookups, index.merged_sketches_batch(lookups)):
             single = index.merged_sketch(lookup)

@@ -3,22 +3,29 @@
 import numpy as np
 import pytest
 
-from repro.core import CostModel, LinearScan, Strategy
+from repro.api import Index, IndexSpec
+from repro.core import LinearScan, Strategy
 from repro.distances.matrix import pairwise_distances
 from repro.exceptions import ConfigurationError
 from repro.service import ShardedHybridIndex
 
 
+def build_sharded(points, **fields) -> ShardedHybridIndex:
+    return Index.build(points, IndexSpec(metric="l2", radius=1.0, **fields)).engine
+
+
+def gather_points(sharded: ShardedHybridIndex) -> np.ndarray:
+    """Reassemble the global matrix (row ``i`` = id ``i``) from the shards."""
+    out = np.empty((sharded.n, sharded.dim))
+    for gids, shard in zip(sharded._shard_gids, sharded.shards):
+        out[gids] = shard.index.points
+    return out
+
+
 @pytest.fixture
 def sharded(gaussian_points) -> ShardedHybridIndex:
-    return ShardedHybridIndex(
-        gaussian_points,
-        metric="l2",
-        radius=1.0,
-        num_shards=3,
-        num_tables=6,
-        cost_model=CostModel.from_ratio(6.0),
-        seed=2,
+    return build_sharded(
+        gaussian_points, num_shards=3, num_tables=6, cost_ratio=6.0, seed=2
     )
 
 
@@ -33,17 +40,24 @@ class TestConstruction:
         sizes = sharded.shard_sizes()
         assert sum(sizes) == gaussian_points.shape[0]
         assert max(sizes) - min(sizes) <= 1
-        assert np.array_equal(sharded.gather_points(), gaussian_points)
+        assert np.array_equal(gather_points(sharded), gaussian_points)
 
     def test_too_many_shards_rejected(self, rng):
         with pytest.raises(ConfigurationError):
-            ShardedHybridIndex(
-                rng.normal(size=(4, 3)),
-                metric="l2",
-                radius=1.0,
-                num_shards=5,
-                cost_model=CostModel.from_ratio(1.0),
-            )
+            build_sharded(rng.normal(size=(4, 3)), num_shards=5, cost_ratio=1.0)
+
+    def test_constructor_reads_shape_from_prebuilt_shards(self, sharded):
+        rebuilt = ShardedHybridIndex(
+            sharded.shards, sharded._shard_gids, next_shard=sharded._next_shard
+        )
+        assert (rebuilt.n, rebuilt.dim) == (sharded.n, sharded.dim)
+        assert rebuilt.radius == sharded.radius
+        assert rebuilt.cost_model == sharded.cost_model
+        with pytest.raises(ConfigurationError):
+            ShardedHybridIndex(sharded.shards, sharded._shard_gids[:-1])
+        with pytest.raises(ConfigurationError):
+            ShardedHybridIndex([], [])
+        rebuilt.close()
 
 
 class TestRadiusSemantics:
@@ -69,14 +83,8 @@ class TestRadiusSemantics:
         its points in range; with collisions in the query's own shard,
         alpha -> inf forces that shard linear and the self-neighborhood
         is complete."""
-        sharded = ShardedHybridIndex(
-            gaussian_points,
-            metric="l2",
-            radius=1.0,
-            num_shards=4,
-            num_tables=4,
-            cost_model=CostModel(alpha=1e12, beta=1.0),
-            seed=0,
+        sharded = build_sharded(
+            gaussian_points, num_shards=4, num_tables=4, cost_ratio=1e-12, seed=0
         )
         scan = LinearScan(gaussian_points, "l2")
         for i in (0, 57, 301, 599):
@@ -165,7 +173,7 @@ class TestInsert:
     def test_insert_then_topk_is_exact(self, sharded, gaussian_points, rng):
         new_points = rng.normal(size=(5, gaussian_points.shape[1]))
         ids = sharded.insert(new_points)
-        everything = sharded.gather_points()
+        everything = gather_points(sharded)
         for new_id, query in zip(ids, new_points):
             result = sharded.query_topk(query, k=3)
             exact_ids, _ = exact_topk(everything, query, 3)

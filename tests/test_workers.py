@@ -20,7 +20,7 @@ import pytest
 
 from repro.api import Index, IndexSpec, QuerySpec
 from repro.exceptions import ConfigurationError
-from repro.service.sharded import ShardedHybridIndex, default_fanout_width
+from repro.service.sharded import default_fanout_width
 from repro.service.workers import WorkerPool
 
 N, DIM, SHARDS = 700, 12, 3
@@ -323,10 +323,10 @@ class TestStartupIsMmapBound:
 
 class TestDefaults:
     def test_sharded_thread_width_respects_cpu_count(self, points):
-        sharded = ShardedHybridIndex(
-            points, metric="l2", radius=1.2, num_shards=SHARDS,
-            num_tables=6, seed=1,
-        )
+        sharded = Index.build(
+            points, IndexSpec(metric="l2", radius=1.2, num_shards=SHARDS,
+                              num_tables=6, seed=1)
+        ).engine
         try:
             assert sharded.max_workers == min(SHARDS, os.cpu_count() or 1)
         finally:
